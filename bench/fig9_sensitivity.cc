@@ -48,8 +48,8 @@ main(int argc, char **argv)
                 PersistencyModel::Sfr, intel);
             cell.config.engine.strandBuffers = config.buffers;
             cell.config.engine.entriesPerBuffer = config.entries;
-            cell.variant = "(" + std::to_string(config.buffers) +
-                           "," + std::to_string(config.entries) + ")";
+            cell.variant =
+                sformat("({},{})", config.buffers, config.entries);
         }
     }
     SweepResult result = runSweep(spec);

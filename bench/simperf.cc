@@ -25,29 +25,11 @@
  *                   Simulation-bound like fig7_cell, so the CI guard
  *                   compares the two sections' RATIO against the
  *                   recorded reference (host speed cancels out).
- *   pdes_shard{1,2,4}
- *                   the conservative time-windowed PDES engine on a
- *                   synthetic 8-domain graph with genuine lookahead
- *                   (decoupled domains, cross-posts at 100k-tick
- *                   latency), run with 1/2/4 worker threads over the
- *                   IDENTICAL window schedule. Checksums are verified
- *                   bit-identical across worker counts inside the
- *                   bench; the wall-clock ratio is the threading
- *                   payoff. The CI guard compares shard2/shard1 as a
- *                   ratio (warn-only: machine load can flatten it).
  *   port_roundtrip  the MemPort mailbox itself: chained send →
  *                   handleRequest → respond round trips against a
  *                   minimal responder. Each trip costs two scheduled
  *                   events and 2*portLegLatency simulated ticks; the
  *                   section reports trips and events per second.
- *   fig7_cell_sharded
- *                   fig7_cell again at SW_SHARDS=2. The port-based
- *                   memory API gives the production graph 1+nCores
- *                   effective domains with a positive window (see
- *                   DESIGN.md §9), so this measures the windowed
- *                   pacing of the real partition; results stay
- *                   bit-identical to the serial run (asserted in the
- *                   integration suite).
  *
  * Everything is seeded and sized by constants, so the *work* is
  * identical run to run; only the wall-clock varies. Results land in
@@ -72,7 +54,6 @@
 #include "mem/port.hh"
 #include "runtime/instrumentor.hh"
 #include "sim/event_queue.hh"
-#include "sim/pdes.hh"
 
 using namespace strand;
 
@@ -321,79 +302,6 @@ runMidrunFork()
 }
 
 /**
- * The synthetic sharded-churn graph: 8 decoupled domains, each a
- * self-rescheduling chain with per-fire compute, cross-posting every
- * 16th fire at a 100k-tick latency. The latency IS the lookahead, so
- * every worker count executes the identical ~1250-window schedule;
- * only the wall-clock changes. @p checksum folds every domain's
- * event-order-sensitive digest so callers can assert bit-identity
- * across worker counts.
- */
-Section
-runPdesShard(unsigned workers, std::uint64_t &checksum)
-{
-    constexpr unsigned domains = 8;
-    constexpr std::uint64_t firesPerDomain = 120'000;
-    constexpr Tick crossLatency = 100'000;
-    constexpr Tick period = 500;
-    ShardedEngine eng(domains);
-    for (unsigned d = 0; d < domains; ++d)
-        eng.connect(d, (d + 1) % domains, crossLatency);
-
-    // One cache line per domain: the workers hammer these counters
-    // every event, and packing them would false-share the line.
-    struct alignas(64) DomainState
-    {
-        std::uint64_t fires = 0;
-        std::uint64_t sum = 0;
-    };
-    std::vector<DomainState> state(domains);
-    std::vector<std::function<void()>> tick(domains);
-    auto t0 = std::chrono::steady_clock::now();
-    for (unsigned d = 0; d < domains; ++d) {
-        const unsigned dst = (d + 1) % domains;
-        tick[d] = [&, d, dst] {
-            DomainState &st = state[d];
-            ++st.fires;
-            // Stand-in for component work: a short LCG mix keeps the
-            // section compute-bound the way a timing model is, so
-            // the threading payoff is visible above kernel overhead.
-            std::uint64_t x = eng.domain(d).curTick() ^
-                              (st.fires * (d + 1));
-            for (int k = 0; k < 64; ++k)
-                x = x * 6364136223846793005ull +
-                    1442695040888963407ull;
-            st.sum += x;
-            if (st.fires % 16 == 0)
-                eng.post(d, dst,
-                         eng.domain(d).curTick() + crossLatency,
-                         [&state, dst] { state[dst].sum ^= 0x9e37; });
-            if (st.fires < firesPerDomain)
-                eng.domain(d).scheduleIn(period, tick[d],
-                                         EventPriority::CpuTick);
-        };
-        eng.domain(d).schedule(d, tick[d], EventPriority::CpuTick);
-    }
-    eng.run(workers);
-    checksum = 0;
-    for (unsigned d = 0; d < domains; ++d)
-        checksum ^= state[d].sum + 0x9e3779b97f4a7c15ull * (d + 1);
-    Section s{"pdes_shard" + std::to_string(workers),
-              eng.eventsServiced(), msSince(t0), 0};
-    s.unitsPerSec = 1e3 * static_cast<double>(s.units) / s.wallMs;
-    std::printf("pdes_shard%u:     events=%llu windows=%llu "
-                "msgs=%llu wall_ms=%.1f events_per_sec=%.3g "
-                "checksum=%016llx\n",
-                workers, static_cast<unsigned long long>(s.units),
-                static_cast<unsigned long long>(eng.windows()),
-                static_cast<unsigned long long>(
-                    eng.messagesDelivered()),
-                s.wallMs, s.unitsPerSec,
-                static_cast<unsigned long long>(checksum));
-    return s;
-}
-
-/**
  * The port mailbox hot path in isolation: one requester chains
  * round trips against a responder that answers every request
  * immediately. Two event-queue schedules per trip (request leg +
@@ -449,39 +357,6 @@ runPortRoundtrip()
     return s;
 }
 
-Section
-runFig7CellSharded()
-{
-    // The production number: SW_SHARDS=2 on the real machine. The
-    // port-based API partitions the graph into 1+nCores effective
-    // domains with a positive window (DESIGN.md §9); results stay
-    // bit-identical to the serial run (asserted in the integration
-    // suite), so this section measures the pacing cost/payoff only.
-    WorkloadParams params;
-    params.numThreads = 4;
-    params.opsPerThread = 80;
-    params.seed = 1;
-    RecordedWorkload rec = recordWorkload(WorkloadKind::Queue, params);
-    ExperimentConfig config;
-    config.baseSystem.shards = 2;
-    constexpr unsigned runs = 3;
-    auto t0 = std::chrono::steady_clock::now();
-    RunMetrics m;
-    for (unsigned i = 0; i < runs; ++i)
-        m = runExperiment(rec, HwDesign::StrandWeaver,
-                          PersistencyModel::Sfr, config);
-    Section s{"fig7_cell_sharded", runs, msSince(t0), 0};
-    s.unitsPerSec = 1e3 * static_cast<double>(s.units) / s.wallMs;
-    std::printf("fig7_sharded:    runs=%u run_ticks=%llu wall_ms=%.1f "
-                "host_events=%llu events_per_sec=%.3g\n",
-                runs, static_cast<unsigned long long>(m.runTicks),
-                s.wallMs,
-                static_cast<unsigned long long>(runs * m.hostEvents),
-                1e3 * static_cast<double>(runs * m.hostEvents) /
-                    s.wallMs);
-    return s;
-}
-
 } // namespace
 
 int
@@ -499,19 +374,7 @@ main(int argc, char **argv)
     sections.push_back(runForkSetup());
     sections.push_back(runFig7Cell());
     sections.push_back(runMidrunFork());
-    // PDES scaling: identical window schedule at every worker count,
-    // checksummed — the bench itself dies on any cross-count drift.
-    std::uint64_t check1 = 0;
-    sections.push_back(runPdesShard(1, check1));
-    for (unsigned workers : {2u, 4u}) {
-        std::uint64_t check = 0;
-        sections.push_back(runPdesShard(workers, check));
-        fatalIf(check != check1,
-                "pdes_shard{} checksum {:x} diverged from serial {:x}",
-                workers, check, check1);
-    }
     sections.push_back(runPortRoundtrip());
-    sections.push_back(runFig7CellSharded());
 
     namespace fs = std::filesystem;
     fs::path dir(envConfig().outDir);

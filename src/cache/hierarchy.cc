@@ -12,10 +12,10 @@ Hierarchy::Hierarchy(std::string name, EventQueue &eq, MemoryImage &image,
                      MemController &pmCtrl, MemController &dramCtrl,
                      stats::StatGroup *parent)
     : SimObject(std::move(name), eq, parent),
-      // The tag-only hierarchy is one monolithic component that
-      // anchors the shared PDES domain; cores reach it exclusively
-      // through latency-carrying MemPorts, so its MSHR state is only
-      // ever mutated from the shared domain's own event stream.
+      // The tag-only hierarchy is one monolithic component; cores
+      // reach it exclusively through latency-carrying MemPorts, so
+      // its MSHR state is only ever mutated from its own events,
+      // never on a requester's call stack.
       loadHits(this, "loadHits", "L1 load hits"),
       loadMisses(this, "loadMisses", "L1 load misses"),
       storeHits(this, "storeHits", "L1 store hits (owned line)"),

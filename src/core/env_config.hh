@@ -13,12 +13,6 @@
  *                   (0 disables injection)
  *   SW_JOBS         sweep worker threads (>= 1; default: hardware
  *                   concurrency; 1 reproduces serial execution)
- *   SW_SHARDS       PDES domains requested for intra-simulation
- *                   sharding (>= 1; default 1 = classic serial loop;
- *                   results are bit-identical at any value)
- *   SW_WINDOW_TICKS lock-step window width in ticks for the sharded
- *                   run loop (>= 1; default: derived from the
- *                   partition's minimum cross-domain lookahead)
  *   SW_TORN_WORDS   torn-cacheline injection: admit only this many
  *                   8-byte words of the final flushed line at each
  *                   crash point (0..7; unset disables tearing)
@@ -48,8 +42,8 @@
  *   SW_MEDIA_SEED   seed of the media-fault stream (any u64;
  *                   0x-prefixed hex accepted)
  *   SW_LOG          console log level: 0 quiet, 1 normal, 2 verbose
- *                   (verbose prints the PDES partition: per-edge
- *                   port-declared lookaheads and the derived window)
+ *                   (verbose adds the crash-fork and fuzz-fork
+ *                   snapshot capture/restore lines)
  *   SW_OUT_DIR      directory for JSON result files (default
  *                   bench/out)
  *
@@ -80,8 +74,6 @@ struct EnvConfig
     std::optional<unsigned> threads;
     std::optional<unsigned> crashPoints;
     std::optional<unsigned> jobs;
-    std::optional<unsigned> shards;
-    std::optional<unsigned> windowTicks;
     std::optional<unsigned> tornWords;
     std::optional<std::uint64_t> crashSeed;
     std::optional<unsigned> fuzzTrials;
@@ -130,12 +122,6 @@ const EnvConfig &envConfig();
  * host's hardware concurrency (at least 1).
  */
 unsigned envJobs();
-
-/**
- * Requested PDES domains: SW_SHARDS if set, otherwise 1 (the classic
- * serial event loop). Results are bit-identical at any value.
- */
-unsigned envShards();
 
 } // namespace strand
 

@@ -19,10 +19,6 @@ Core::Core(std::string name, EventQueue &eq, CoreId id, Hierarchy &hier,
       coreId(id), hier(hier), engine(std::move(engine)), locks(locks),
       params(params)
 {
-    // The core and everything that rides with it (persist engine,
-    // strand buffers) follow one PDES domain when sharded.
-    setDomainAffinity("core" + std::to_string(id));
-
     stallCycles.subname(static_cast<unsigned>(StallCause::None), "none");
     stallCycles.subname(static_cast<unsigned>(StallCause::RobFull),
                         "robFull");

@@ -156,7 +156,9 @@ struct MemResponse
     std::uint64_t token = 0;
     /** Flush Done only: the flush found dirty data and wrote PM. */
     bool wrotePm = false;
-    PacketPtr pkt;
+    /** Packet kind only. The empty initializer lets callers write
+     * {req, kind, token} without a missing-initializer warning. */
+    PacketPtr pkt{};
 };
 
 } // namespace strand

@@ -10,11 +10,10 @@
  * arrives at the responder requestLatency() ticks after send(), and
  * a response arrives at the requester responseLatency() ticks after
  * respond(). Same-tick replies are illegal by construction — init()
- * panics on a zero leg — because a zero-lookahead edge between two
- * PDES domains forces the partitioner to fuse them back into one
- * (the exact pathology the port API exists to remove). The declared
- * leg latencies are what computeSystemPartition() reads as the
- * cross-domain lookahead.
+ * panics on a zero leg — so a responder's state never changes on the
+ * requester's call stack, and every message between two components
+ * is a scheduled event that passes through this class: the port is
+ * the one place where mail can be held or reordered.
  *
  * Back-pressure is an explicit response: a responder that cannot
  * accept a request replies Nack and the requester retries on its own
@@ -57,8 +56,8 @@ class MemResponder
     virtual ~MemResponder() = default;
 
     /** Service @p req; reply (if the kind warrants one) via
-     * @p port .respond(). Runs from the responder's own domain's
-     * event stream, requestLatency() ticks after the send. */
+     * @p port .respond(). Runs as its own event, requestLatency()
+     * ticks after the send. */
     virtual void handleRequest(MemPort &port, const MemRequest &req) = 0;
 };
 
@@ -78,8 +77,7 @@ class MemPort
     /**
      * Wire the port. Must run exactly once before the first send().
      * Panics if either leg is zero: a same-tick reply would put the
-     * responder's state mutation back on the requester's call stack
-     * and re-fuse the PDES partition.
+     * responder's state mutation back on the requester's call stack.
      */
     void
     init(EventQueue &eq, std::string name,
@@ -89,7 +87,8 @@ class MemPort
         panicIf(queue != nullptr, "port {} already initialized", name);
         panicIf(requestLatency == 0 || responseLatency == 0,
                 "port {}: zero-latency port legs are illegal "
-                "(same-tick replies would fuse the PDES partition)",
+                "(a same-tick reply would run on the requester's "
+                "call stack)",
                 name);
         queue = &eq;
         portName = std::move(name);
@@ -145,7 +144,7 @@ class MemPort
             EventPriority::MemoryResponse);
     }
 
-    /** @name The latencies the PDES partitioner reads as lookahead @{ */
+    /** @name Declared leg latencies @{ */
     Tick requestLatency() const { return reqLat; }
     Tick responseLatency() const { return respLat; }
     /** @} */

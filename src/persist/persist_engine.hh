@@ -120,17 +120,6 @@ class PersistEngine : public SimObject
     virtual Hierarchy::Clearance recordDrainPoint() = 0;
 
     /**
-     * Declared latency of the engine's request leg to the shared
-     * cache fabric (its flush mailbox), used by the domain
-     * partitioner as cross-domain lookahead. Engines that mail
-     * nothing themselves report maxTick (no constraint).
-     */
-    virtual Tick portRequestLatency() const { return maxTick; }
-
-    /** Declared latency of the fabric→engine response leg. */
-    virtual Tick portResponseLatency() const { return maxTick; }
-
-    /**
      * Enable recording of persist-completion ticks. The crash
      * harness enumerates these as injectable crash points: every
      * tick at which this engine observed a flush reach the ADR

@@ -144,10 +144,6 @@ class StrandBufferUnit : public SimObject
     /** Issue any entries whose dependencies have resolved. */
     void evaluate();
 
-    /** The unit's mailbox to the hierarchy (partitioner reads its
-     * declared leg latencies as cross-domain lookahead). */
-    const MemPort &memPort() const { return port; }
-
     /** Capture / restore buffered entries and the ongoing index. */
     void saveState(SimSnapshot &snap) const override;
     void restoreState(const SimSnapshot &snap) override;

@@ -223,8 +223,8 @@ class EventQueue
     /**
      * The tick of the earliest live event, or maxTick when none is
      * pending. Prunes cancelled carcasses off the heap top exactly as
-     * serviceOne() would; dispatch order is unaffected. Used by the
-     * sharded PDES driver to pick the next lock-step window.
+     * serviceOne() would; dispatch order is unaffected. Lets a
+     * driver step the queue one live tick at a time.
      */
     Tick nextLiveTick();
 
