@@ -25,6 +25,12 @@
  *                   Simulation-bound like fig7_cell, so the CI guard
  *                   compares the two sections' RATIO against the
  *                   recorded reference (host speed cancels out).
+ *   machine_snapshot full-machine capture cost: System::snapshot()
+ *                   calls taken between short run segments of the
+ *                   midrun_fork machine. The first capture is then
+ *                   restored and re-run, and the section fatals
+ *                   unless the finish tick and persist trace match
+ *                   the uninterrupted run.
  *   port_roundtrip  the MemPort mailbox itself: chained send →
  *                   handleRequest → respond round trips against a
  *                   minimal responder. Each trip costs two scheduled
@@ -38,11 +44,14 @@
  * for speedups.
  */
 
+#include <malloc.h>
+
 #include <chrono>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <functional>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -243,13 +252,11 @@ runFig7Cell()
     return s;
 }
 
-Section
-runMidrunFork()
+/** A fig7-shaped machine (Queue, 4 threads x 80 ops, StrandWeaver
+ * under SFR), loaded and ready to run. */
+std::unique_ptr<System>
+buildForkMachine()
 {
-    // A fig7-shaped machine, captured whole at its 64th admission;
-    // each measured unit is one System::restore() plus the tail
-    // re-execution to completion — the cost a mid-run fork consumer
-    // (crash harness, branching fuzzer) pays per explored branch.
     WorkloadParams params;
     params.numThreads = 4;
     params.opsPerThread = 80;
@@ -264,9 +271,21 @@ runMidrunFork()
     cfg.numCores = static_cast<unsigned>(streams.size());
     cfg.design = HwDesign::StrandWeaver;
     cfg.layout = ip.layout;
-    System sys(cfg);
-    sys.seedImage(rec.preload);
-    sys.loadStreams(std::move(streams));
+    auto sys = std::make_unique<System>(cfg);
+    sys->seedImage(rec.preload);
+    sys->loadStreams(std::move(streams));
+    return sys;
+}
+
+Section
+runMidrunFork()
+{
+    // The fork machine, captured whole at its 64th admission; each
+    // measured unit is one System::restore() plus the tail
+    // re-execution to completion — the cost a mid-run fork consumer
+    // (crash harness, branching fuzzer) pays per explored branch.
+    std::unique_ptr<System> machine = buildForkMachine();
+    System &sys = *machine;
 
     SimSnapshot snap;
     unsigned admissions = 0;
@@ -297,6 +316,67 @@ runMidrunFork()
     std::printf("midrun_fork:     forks=%u keys=%zu snap_bytes=%zu "
                 "wall_ms=%.1f forks_per_sec=%.3g\n",
                 iters, snap.size(), snap.approxBytes(), s.wallMs,
+                s.unitsPerSec);
+    return s;
+}
+
+/** Heap bytes in use, all arenas (glibc). Reads 0 under allocators
+ * that do not report to mallinfo2, such as AddressSanitizer's. */
+long long
+heapInUse()
+{
+    struct mallinfo2 info = mallinfo2();
+    return static_cast<long long>(info.uordblks + info.hblkhd);
+}
+
+Section
+runMachineSnapshot()
+{
+    // The reference: the fork machine run uninterrupted.
+    std::unique_ptr<System> machine = buildForkMachine();
+    const Tick finish = machine->run();
+    const std::vector<PersistRecord> trace = machine->persistTrace();
+
+    // The same machine captured between equal run segments. Only the
+    // System::snapshot() calls are timed; the first capture is kept
+    // and every later one is dropped once taken.
+    constexpr unsigned captures = 400;
+    const Tick segment = finish / (captures + 1);
+    machine = buildForkMachine();
+    SimSnapshot first;
+    double captureMs = 0;
+    long long heapBytes = 0;
+    for (unsigned i = 1; i <= captures; ++i) {
+        fatalIf(machine->runUntil(i * segment),
+                "machine_snapshot: run finished before capture {}", i);
+        const long long heapBefore = heapInUse();
+        auto t0 = std::chrono::steady_clock::now();
+        SimSnapshot snap = machine->snapshot();
+        captureMs += msSince(t0);
+        heapBytes += heapInUse() - heapBefore;
+        if (i == 1)
+            first = std::move(snap);
+    }
+    fatalIf(machine->run() != finish || machine->persistTrace() != trace,
+            "machine_snapshot: the captured run diverged from the "
+            "uninterrupted one");
+
+    // Every later capture and segment wrote past the first capture;
+    // rewinding to it must still replay the run bit for bit.
+    machine->restore(first);
+    const Tick again = machine->run();
+    fatalIf(again != finish,
+            "machine_snapshot: restored run finished at {}, not {}",
+            again, finish);
+    fatalIf(machine->persistTrace() != trace,
+            "machine_snapshot: restored run's persist trace diverged");
+
+    Section s{"machine_snapshot", captures, captureMs, 0};
+    s.unitsPerSec = 1e3 * static_cast<double>(s.units) / s.wallMs;
+    std::printf("machine_snapshot: captures=%u keys=%zu "
+                "heap_bytes_per_capture=%lld wall_ms=%.1f "
+                "captures_per_sec=%.3g\n",
+                captures, first.size(), heapBytes / captures, s.wallMs,
                 s.unitsPerSec);
     return s;
 }
@@ -374,6 +454,7 @@ main(int argc, char **argv)
     sections.push_back(runForkSetup());
     sections.push_back(runFig7Cell());
     sections.push_back(runMidrunFork());
+    sections.push_back(runMachineSnapshot());
     sections.push_back(runPortRoundtrip());
 
     namespace fs = std::filesystem;

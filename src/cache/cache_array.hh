@@ -11,8 +11,9 @@
 #ifndef CACHE_CACHE_ARRAY_HH
 #define CACHE_CACHE_ARRAY_HH
 
+#include <algorithm>
 #include <cstdint>
-#include <optional>
+#include <memory>
 #include <vector>
 
 #include "mem/address_map.hh"
@@ -49,10 +50,24 @@ struct CacheLineInfo
 /**
  * Tag array for one cache. Geometry is (sizeBytes / 64) lines,
  * arranged as sets of @p ways lines each.
+ *
+ * The lines live in fixed blocks of setsPerBlock sets, and a
+ * snapshot shares the blocks instead of copying them: capturing or
+ * restoring costs one handle per block, and the first write to a
+ * block still shared with a capture copies that block alone. A
+ * probe reads the block's line pointer and scans the set's ways; it
+ * never touches a reference count.
+ *
+ * Because a write may move a block, a CacheLineInfo pointer or
+ * reference obtained from findLine() or victimFor() is valid only
+ * within the event that obtained it (DESIGN.md §6).
  */
 class CacheArray
 {
   public:
+    /** Sets per copy-on-write block. */
+    static constexpr unsigned setsPerBlock = 16;
+
     /**
      * @param sizeBytes Total capacity; must be a multiple of
      * ways * 64.
@@ -60,12 +75,27 @@ class CacheArray
      */
     CacheArray(std::uint64_t sizeBytes, unsigned ways);
 
+    /** A copy would share blocks that neither side marks shared;
+     * captures go through snapshotState() instead. */
+    CacheArray(const CacheArray &) = delete;
+    CacheArray &operator=(const CacheArray &) = delete;
+    CacheArray(CacheArray &&) = default;
+    CacheArray &operator=(CacheArray &&) = default;
+
     unsigned numSets() const { return sets; }
     unsigned numWays() const { return ways; }
 
-    /** @return the line's info if present, else nullptr. */
+    /**
+     * @return the line's info if present, else nullptr. The mutable
+     * overload first gives this array its own copy of the line's
+     * block if a capture shares it, so probes that only read should
+     * use the const overload (or contains()), which never copies.
+     */
     CacheLineInfo *findLine(Addr addr);
     const CacheLineInfo *findLine(Addr addr) const;
+
+    /** @return true if the line of @p addr is present. */
+    bool contains(Addr addr) const { return findLine(addr) != nullptr; }
 
     /** Record a use for LRU purposes. */
     void touch(CacheLineInfo &line) { line.lastUse = ++useClock; }
@@ -92,27 +122,25 @@ class CacheArray
     /** Invalidate a line if present. @return true if it was valid. */
     bool invalidate(Addr addr);
 
-    /** Full tag state captured by the hierarchy's snapshot. */
+    /** Tag state captured by the hierarchy's snapshot. */
     struct State
     {
+        unsigned sets = 0;
+        unsigned ways = 0;
         std::uint64_t useClock = 0;
-        std::vector<CacheLineInfo> lines;
+        /** One handle per block, shared with the array it came from. */
+        std::vector<std::shared_ptr<const CacheLineInfo[]>> blocks;
     };
 
-    /** Copy out the tag state (snapshot support). */
-    State snapshotState() const { return {useClock, lines}; }
+    /** Capture the tag state by sharing every block (snapshot
+     * support); the array's later writes copy the blocks they touch,
+     * so the capture never changes. */
+    State snapshotState() const;
 
-    /** Replace the tag state with a captured copy. Geometry is fixed
-     * at construction, so a snapshot only restores into the array it
-     * was taken from. */
-    void
-    restoreState(State state)
-    {
-        panicIf(state.lines.size() != lines.size(),
-                "cache array geometry changed across a snapshot");
-        useClock = state.useClock;
-        lines = std::move(state.lines);
-    }
+    /** Adopt a captured tag state, sharing its blocks. Geometry is
+     * fixed at construction, so a snapshot only restores into an
+     * array with the same sets and ways. */
+    void restoreState(const State &state);
 
     /** @return number of valid lines (linear scan; tests only). */
     std::uint64_t countValid() const;
@@ -122,18 +150,72 @@ class CacheArray
     void
     forEachValid(Fn &&fn)
     {
-        for (auto &line : lines)
-            if (line.valid())
-                fn(line);
+        // Only blocks holding a valid line are made writable.
+        for (Block &block : blocks) {
+            const CacheLineInfo *lines = block.lines.get();
+            if (std::none_of(lines, lines + linesPerBlock,
+                             [](const CacheLineInfo &line) {
+                                 return line.valid();
+                             }))
+                continue;
+            CacheLineInfo *own = ownBlock(block);
+            for (std::size_t i = 0; i < linesPerBlock; ++i)
+                if (own[i].valid())
+                    fn(own[i]);
+        }
     }
 
   private:
+    /** One copy-on-write block: setsPerBlock sets of ways lines. */
+    struct Block
+    {
+        std::shared_ptr<CacheLineInfo[]> lines;
+        /** The lines may be shared with a capture or another block,
+         * so they must be copied before a write. Set by the const
+         * snapshotState(). */
+        mutable bool shared = false;
+    };
+
     std::uint64_t setIndex(Addr addr) const;
+
+    /** @return the first way of @p set, for reading. */
+    const CacheLineInfo *
+    setLines(std::uint64_t set) const
+    {
+        return blocks[set / setsPerBlock].lines.get() +
+               (set % setsPerBlock) * ways;
+    }
+
+    /** @return the first way of @p set, for writing. */
+    CacheLineInfo *
+    ownSet(std::uint64_t set)
+    {
+        return ownBlock(blocks[set / setsPerBlock]) +
+               (set % setsPerBlock) * ways;
+    }
+
+    /** @return @p block's lines, copied first if they are shared. */
+    CacheLineInfo *
+    ownBlock(Block &block)
+    {
+        if (block.shared) [[unlikely]]
+            unshare(block);
+        return block.lines.get();
+    }
+
+    /** Give @p block lines of its own (copying only if some other
+     * handle still refers to them). */
+    void unshare(Block &block);
+
+    /** Unshare @p block. @return where @p line, one of its lines,
+     * now lives. */
+    CacheLineInfo *ownLine(Block &block, const CacheLineInfo *line);
 
     unsigned sets;
     unsigned ways;
+    std::size_t linesPerBlock = 0;
     std::uint64_t useClock = 0;
-    std::vector<CacheLineInfo> lines;
+    std::vector<Block> blocks;
 };
 
 } // namespace strand

@@ -1,6 +1,7 @@
 #include "cache/hierarchy.hh"
 
 #include <algorithm>
+#include <utility>
 
 #include "fuzz/adversary.hh"
 
@@ -115,7 +116,7 @@ void
 Hierarchy::prewarmL2(Addr start, Addr end)
 {
     for (Addr la = lineAlign(start); la < end; la += lineBytes) {
-        if (l2.findLine(la))
+        if (l2.contains(la))
             continue;
         CacheLineInfo &victim = l2.victimFor(la);
         // Warm-up only targets an empty cache; skip on conflict
@@ -353,7 +354,8 @@ Hierarchy::serviceMiss(CoreId core, Addr lineAddr, bool exclusive)
     for (unsigned i = 0; i < cores.size(); ++i) {
         if (i == core)
             continue;
-        CacheLineInfo *remote = cores[i].array.findLine(lineAddr);
+        const CacheLineInfo *remote =
+            std::as_const(cores[i].array).findLine(lineAddr);
         if (!remote || remote->state != CoherenceState::Modified)
             continue;
 
@@ -425,17 +427,19 @@ Hierarchy::serviceMiss(CoreId core, Addr lineAddr, bool exclusive)
         for (unsigned i = 0; i < cores.size(); ++i) {
             if (i == core)
                 continue;
-            CacheLineInfo *remote = cores[i].array.findLine(lineAddr);
+            const CacheLineInfo *remote =
+                std::as_const(cores[i].array).findLine(lineAddr);
             if (!remote)
                 continue;
             remoteCopies = true;
             if (exclusive)
                 cores[i].array.invalidate(lineAddr);
             else if (remote->state == CoherenceState::Exclusive)
-                remote->state = CoherenceState::Shared;
+                cores[i].array.findLine(lineAddr)->state =
+                    CoherenceState::Shared;
         }
 
-        if (l2.findLine(lineAddr)) {
+        if (l2.contains(lineAddr)) {
             CoherenceState fill;
             if (exclusive)
                 fill = CoherenceState::Exclusive;
@@ -508,9 +512,9 @@ bool
 Hierarchy::installLine(CoreId core, Addr lineAddr, CoherenceState state)
 {
     L1 &l1 = cores.at(core);
-    if (l1.array.findLine(lineAddr)) {
+    if (CacheLineInfo *line = l1.array.findLine(lineAddr)) {
         // Already present (e.g. re-entered finishFill); just set state.
-        l1.array.findLine(lineAddr)->state = state;
+        line->state = state;
         return true;
     }
     CacheLineInfo &victim = l1.array.victimFor(lineAddr);
@@ -525,7 +529,7 @@ Hierarchy::installLine(CoreId core, Addr lineAddr, CoherenceState state)
     // Maintain inclusion: make sure the L2 tracks the line too. A
     // cache-to-cache or L2 fill already has it; memory fills insert
     // it in the fetch path. If it is somehow absent, add it cheaply.
-    if (!l2.findLine(lineAddr))
+    if (!l2.contains(lineAddr))
         installLineL2(lineAddr);
     return true;
 }
@@ -583,7 +587,7 @@ Hierarchy::drainWritebacks()
 bool
 Hierarchy::installLineL2(Addr lineAddr)
 {
-    if (l2.findLine(lineAddr))
+    if (l2.contains(lineAddr))
         return true;
     if (pendingL2Evicts.size() >= params.l2EvictEntries)
         return false;
@@ -748,8 +752,8 @@ Hierarchy::startFlush(CoreId core, Addr addr,
     // the dirty-bit cleaning the flush performs.
     {
         // Fast path: the flushing core's own L1 owns the dirty line.
-        L1 &own = cores.at(core);
-        CacheLineInfo *line = own.array.findLine(la);
+        const CacheLineInfo *line =
+            std::as_const(cores.at(core).array).findLine(la);
         bool ownDirty = line && line->dirty();
         Tick lookup = ownDirty
                           ? params.l1Latency
@@ -766,22 +770,22 @@ Hierarchy::startFlush(CoreId core, Addr addr,
                 onStarted();
             bool dirty = false;
             // Clean every dirty copy in the domain; CLWB retains
-            // clean copies (non-invalidating).
+            // clean copies (non-invalidating). Clean and absent lines
+            // are only probed, so they never copy a tag block.
             for (auto &l1 : cores) {
-                if (CacheLineInfo *l = l1.array.findLine(la)) {
-                    if (l->dirty()) {
-                        dirty = true;
-                        l->state = CoherenceState::Exclusive;
-                    }
+                const CacheLineInfo *l =
+                    std::as_const(l1.array).findLine(la);
+                if (l && l->dirty()) {
+                    dirty = true;
+                    l1.array.findLine(la)->state = CoherenceState::Exclusive;
                 }
                 if (l1.writebacks.contains(la))
                     dirty = true;
             }
-            if (CacheLineInfo *l2line = l2.findLine(la)) {
-                if (l2line->dirty()) {
-                    dirty = true;
-                    l2line->state = CoherenceState::Shared;
-                }
+            const CacheLineInfo *l2line = std::as_const(l2).findLine(la);
+            if (l2line && l2line->dirty()) {
+                dirty = true;
+                l2.findLine(la)->state = CoherenceState::Shared;
             }
 
             if (!dirty) {

@@ -92,8 +92,14 @@ class SimSnapshot
      * Approximate size of the captured state in bytes: the static
      * footprint of every stored value, plus the element payload of
      * values that are sized containers (one nesting level deep).
-     * Good enough to tell a half-captured machine from a full one in
-     * a log line; not an allocator-accurate measurement.
+     * Anything deeper is left out: a component's state struct counts
+     * as its sizeof, so the containers inside it (the memory image's
+     * pages, the persist trace, queued closures, MSHR maps, the cache
+     * tag arrays' block handles) are not counted, and neither are the
+     * tag blocks a capture shares with the live machine (DESIGN.md
+     * §6). Good enough to tell a half-captured machine from a full
+     * one in a log line; simperf's machine_snapshot section measures
+     * a capture's heap footprint.
      */
     std::size_t approxBytes() const { return bytes; }
 
