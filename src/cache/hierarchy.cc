@@ -36,10 +36,12 @@ Hierarchy::Hierarchy(std::string name, EventQueue &eq, MemoryImage &image,
 {
     fatalIf(numCores == 0, "hierarchy needs at least one core");
     cores.reserve(numCores);
+    l1Tags.reserve(numCores);
     for (unsigned i = 0; i < numCores; ++i) {
-        cores.emplace_back(params);
-        cores.back().mshrLimit = params.l1Mshrs;
+        cores.emplace_back(params.writebackEntries);
+        l1Tags.emplace_back(params.l1Size, params.l1Ways);
     }
+    recorders.resize(numCores);
     pmCtrl.addRetryCallback([this] { scheduleKick(); });
     dramCtrl.addRetryCallback([this] { scheduleKick(); });
     kickEvent.init(eq, [this] { kick(); }, EventPriority::Default);
@@ -77,7 +79,7 @@ Hierarchy::recordDrainPoint(CoreId core)
 {
     if (!params.persistInterlocks)
         return {};
-    auto &recorder = cores.at(core).recorder;
+    auto &recorder = recorders.at(core);
     return recorder ? recorder() : Clearance{};
 }
 
@@ -199,8 +201,8 @@ Hierarchy::startLoad(CoreId core, Addr addr, std::function<void()> onDone)
     Addr la = lineAlign(addr);
     L1 &l1 = cores.at(core);
 
-    if (CacheLineInfo *line = l1.array.findLine(la)) {
-        l1.array.touch(*line);
+    if (CacheLineInfo *line = l1Tags[core].findLine(la)) {
+        l1Tags[core].touch(*line);
         ++loadHits;
         eq.scheduleIn(params.l1Latency, std::move(onDone),
                       EventPriority::MemoryResponse);
@@ -214,7 +216,7 @@ Hierarchy::startLoad(CoreId core, Addr addr, std::function<void()> onDone)
         ++loadMisses;
         return true;
     }
-    if (l1.mshrs.size() >= l1.mshrLimit)
+    if (l1.mshrs.size() >= params.l1Mshrs)
         return false;
 
     ++loadMisses;
@@ -232,11 +234,11 @@ Hierarchy::startStore(CoreId core, Addr addr, std::uint64_t value,
 {
     Addr la = lineAlign(addr);
     L1 &l1 = cores.at(core);
-    CacheLineInfo *line = l1.array.findLine(la);
+    CacheLineInfo *line = l1Tags[core].findLine(la);
 
     if (line && (line->state == CoherenceState::Modified ||
                  line->state == CoherenceState::Exclusive)) {
-        l1.array.touch(*line);
+        l1Tags[core].touch(*line);
         ++storeHits;
         eq.scheduleIn(params.l1Latency,
                       [this, core, la, addr, value,
@@ -247,7 +249,7 @@ Hierarchy::startStore(CoreId core, Addr addr, std::uint64_t value,
             // The line can only vanish if an L2 replacement
             // back-invalidated it mid-store; treat it as a store that
             // squeaked in before the invalidation.
-            if (CacheLineInfo *l = cores.at(core).array.findLine(la))
+            if (CacheLineInfo *l = l1Tags.at(core).findLine(la))
                 l->state = CoherenceState::Modified;
             image.writeArch(addr, value);
             if (onDone)
@@ -268,10 +270,10 @@ Hierarchy::startStore(CoreId core, Addr addr, std::uint64_t value,
                        onDone = std::move(onDone)] {
             for (unsigned i = 0; i < cores.size(); ++i) {
                 if (i != core)
-                    cores[i].array.invalidate(la);
+                    l1Tags[i].invalidate(la);
             }
             // Tolerate an L2 back-invalidation racing the upgrade.
-            if (CacheLineInfo *l = cores.at(core).array.findLine(la))
+            if (CacheLineInfo *l = l1Tags.at(core).findLine(la))
                 l->state = CoherenceState::Modified;
             image.writeArch(addr, value);
             busyLines.erase(la);
@@ -293,7 +295,7 @@ Hierarchy::startStore(CoreId core, Addr addr, std::uint64_t value,
         }
         it->second.waiters.push_back(
             [this, core, la, addr, value, onDone = std::move(onDone)] {
-                if (CacheLineInfo *l = cores.at(core).array.findLine(la))
+                if (CacheLineInfo *l = l1Tags.at(core).findLine(la))
                     l->state = CoherenceState::Modified;
                 image.writeArch(addr, value);
                 if (onDone)
@@ -302,7 +304,7 @@ Hierarchy::startStore(CoreId core, Addr addr, std::uint64_t value,
         ++storeMisses;
         return true;
     }
-    if (l1.mshrs.size() >= l1.mshrLimit)
+    if (l1.mshrs.size() >= params.l1Mshrs)
         return false;
 
     ++storeMisses;
@@ -310,7 +312,7 @@ Hierarchy::startStore(CoreId core, Addr addr, std::uint64_t value,
     mshr.exclusive = true;
     mshr.waiters.push_back(
         [this, core, la, addr, value, onDone = std::move(onDone)] {
-            if (CacheLineInfo *l = cores.at(core).array.findLine(la))
+            if (CacheLineInfo *l = l1Tags.at(core).findLine(la))
                 l->state = CoherenceState::Modified;
             image.writeArch(addr, value);
             if (onDone)
@@ -355,7 +357,7 @@ Hierarchy::serviceMiss(CoreId core, Addr lineAddr, bool exclusive)
         if (i == core)
             continue;
         const CacheLineInfo *remote =
-            std::as_const(cores[i].array).findLine(lineAddr);
+            std::as_const(l1Tags[i]).findLine(lineAddr);
         if (!remote || remote->state != CoherenceState::Modified)
             continue;
 
@@ -367,7 +369,7 @@ Hierarchy::serviceMiss(CoreId core, Addr lineAddr, bool exclusive)
             clearance = recordDrainPoint(i);
 
         auto transfer = [this, core, lineAddr, exclusive, i] {
-            CacheLineInfo *owner = cores[i].array.findLine(lineAddr);
+            CacheLineInfo *owner = l1Tags[i].findLine(lineAddr);
             ++cacheToCache;
             // A read-exclusive steal of a dirty PM line is a VMO
             // conflict edge: the old owner's earlier stores to the
@@ -379,7 +381,7 @@ Hierarchy::serviceMiss(CoreId core, Addr lineAddr, bool exclusive)
             }
             if (exclusive) {
                 if (owner)
-                    cores[i].array.invalidate(lineAddr);
+                    l1Tags[i].invalidate(lineAddr);
                 // Ownership moves to the requester; the (inclusive)
                 // L2 copy is stale and clean.
                 if (CacheLineInfo *l2line = l2.findLine(lineAddr))
@@ -428,14 +430,14 @@ Hierarchy::serviceMiss(CoreId core, Addr lineAddr, bool exclusive)
             if (i == core)
                 continue;
             const CacheLineInfo *remote =
-                std::as_const(cores[i].array).findLine(lineAddr);
+                std::as_const(l1Tags[i]).findLine(lineAddr);
             if (!remote)
                 continue;
             remoteCopies = true;
             if (exclusive)
-                cores[i].array.invalidate(lineAddr);
+                l1Tags[i].invalidate(lineAddr);
             else if (remote->state == CoherenceState::Exclusive)
-                cores[i].array.findLine(lineAddr)->state =
+                l1Tags[i].findLine(lineAddr)->state =
                     CoherenceState::Shared;
         }
 
@@ -512,12 +514,12 @@ bool
 Hierarchy::installLine(CoreId core, Addr lineAddr, CoherenceState state)
 {
     L1 &l1 = cores.at(core);
-    if (CacheLineInfo *line = l1.array.findLine(lineAddr)) {
+    if (CacheLineInfo *line = l1Tags[core].findLine(lineAddr)) {
         // Already present (e.g. re-entered finishFill); just set state.
         line->state = state;
         return true;
     }
-    CacheLineInfo &victim = l1.array.victimFor(lineAddr);
+    CacheLineInfo &victim = l1Tags[core].victimFor(lineAddr);
     if (victim.valid() && victim.dirty()) {
         if (l1.writebacks.full())
             return false;
@@ -525,7 +527,7 @@ Hierarchy::installLine(CoreId core, Addr lineAddr, CoherenceState state)
     }
     if (victim.valid())
         victim.state = CoherenceState::Invalid;
-    l1.array.install(victim, lineAddr, state);
+    l1Tags[core].install(victim, lineAddr, state);
     // Maintain inclusion: make sure the L2 tracks the line too. A
     // cache-to-cache or L2 fill already has it; memory fills insert
     // it in the fetch path. If it is somehow absent, add it cheaply.
@@ -606,12 +608,12 @@ Hierarchy::installLineL2(Addr lineAddr)
         bool wasDirtyAnywhere = victim.dirty();
         Clearance clearance;
         for (unsigned i = 0; i < cores.size(); ++i) {
-            if (CacheLineInfo *line = cores[i].array.findLine(victimAddr)) {
+            if (CacheLineInfo *line = l1Tags[i].findLine(victimAddr)) {
                 if (line->dirty()) {
                     wasDirtyAnywhere = true;
                     clearance = recordDrainPoint(i);
                 }
-                cores[i].array.invalidate(victimAddr);
+                l1Tags[i].invalidate(victimAddr);
             }
         }
         if (wasDirtyAnywhere)
@@ -753,7 +755,7 @@ Hierarchy::startFlush(CoreId core, Addr addr,
     {
         // Fast path: the flushing core's own L1 owns the dirty line.
         const CacheLineInfo *line =
-            std::as_const(cores.at(core).array).findLine(la);
+            std::as_const(l1Tags.at(core)).findLine(la);
         bool ownDirty = line && line->dirty();
         Tick lookup = ownDirty
                           ? params.l1Latency
@@ -772,14 +774,15 @@ Hierarchy::startFlush(CoreId core, Addr addr,
             // Clean every dirty copy in the domain; CLWB retains
             // clean copies (non-invalidating). Clean and absent lines
             // are only probed, so they never copy a tag block.
-            for (auto &l1 : cores) {
+            for (unsigned i = 0; i < cores.size(); ++i) {
                 const CacheLineInfo *l =
-                    std::as_const(l1.array).findLine(la);
+                    std::as_const(l1Tags[i]).findLine(la);
                 if (l && l->dirty()) {
                     dirty = true;
-                    l1.array.findLine(la)->state = CoherenceState::Exclusive;
+                    l1Tags[i].findLine(la)->state =
+                        CoherenceState::Exclusive;
                 }
-                if (l1.writebacks.contains(la))
+                if (cores[i].writebacks.contains(la))
                     dirty = true;
             }
             const CacheLineInfo *l2line = std::as_const(l2).findLine(la);
@@ -818,56 +821,25 @@ Hierarchy::startFlush(CoreId core, Addr addr,
 // Snapshot support
 // ---------------------------------------------------------------------
 
-void
-Hierarchy::saveState(SimSnapshot &snap) const
+Hierarchy::Snapshot
+Hierarchy::saveState() const
 {
-    Snapshot s;
-    s.cores.reserve(cores.size());
-    for (const L1 &l1 : cores) {
-        L1State cs;
-        cs.array = l1.array.snapshotState();
-        cs.writebacks = l1.writebacks.snapshotEntries();
-        cs.mshrs = l1.mshrs;
-        cs.wbHeldUntil = l1.wbHeldUntil;
-        s.cores.push_back(std::move(cs));
-    }
-    s.l2 = l2.snapshotState();
-    s.l2MissesInFlight = l2MissesInFlight;
-    s.busyLines = busyLines;
-    // Packets are immutable once submitted, so the snapshot may share
-    // them with the live run.
-    s.lineSendQueues = lineSendQueues;
-    s.pendingL2Evicts = pendingL2Evicts;
-    s.evictInFlight = evictInFlight;
-    s.parked = parked;
-    s.activeTransactions = activeTransactions;
-    s.nextPacketId = nextPacketId;
-    snap.put(snapshotName(), std::move(s));
+    Snapshot snap{static_cast<const HierarchyState &>(*this), {},
+                  l2.snapshotState()};
+    for (const CacheArray &tags : l1Tags)
+        snap.l1Tags.push_back(tags.snapshotState());
+    return snap;
 }
 
 void
-Hierarchy::restoreState(const SimSnapshot &snap)
+Hierarchy::restoreState(const Snapshot &snap)
 {
-    const Snapshot &s = snap.get<Snapshot>(snapshotName());
-    panicIf(s.cores.size() != cores.size(),
+    panicIf(snap.l1Tags.size() != l1Tags.size(),
             "hierarchy core count changed across a snapshot");
-    for (std::size_t i = 0; i < cores.size(); ++i) {
-        L1 &l1 = cores[i];
-        const L1State &cs = s.cores[i];
-        l1.array.restoreState(cs.array);
-        l1.writebacks.restoreEntries(cs.writebacks);
-        l1.mshrs = cs.mshrs;
-        l1.wbHeldUntil = cs.wbHeldUntil;
-    }
-    l2.restoreState(s.l2);
-    l2MissesInFlight = s.l2MissesInFlight;
-    busyLines = s.busyLines;
-    lineSendQueues = s.lineSendQueues;
-    pendingL2Evicts = s.pendingL2Evicts;
-    evictInFlight = s.evictInFlight;
-    parked = s.parked;
-    activeTransactions = s.activeTransactions;
-    nextPacketId = s.nextPacketId;
+    static_cast<HierarchyState &>(*this) = snap.state;
+    for (std::size_t i = 0; i < l1Tags.size(); ++i)
+        l1Tags[i].restoreState(snap.l1Tags[i]);
+    l2.restoreState(snap.l2Tags);
 }
 
 // ---------------------------------------------------------------------
@@ -878,7 +850,7 @@ CoherenceState
 Hierarchy::l1State(CoreId core, Addr addr) const
 {
     const CacheLineInfo *line =
-        cores.at(core).array.findLine(lineAlign(addr));
+        l1Tags.at(core).findLine(lineAlign(addr));
     return line ? line->state : CoherenceState::Invalid;
 }
 
@@ -886,7 +858,7 @@ bool
 Hierarchy::l1Dirty(CoreId core, Addr addr) const
 {
     const CacheLineInfo *line =
-        cores.at(core).array.findLine(lineAlign(addr));
+        l1Tags.at(core).findLine(lineAlign(addr));
     return line && line->dirty();
 }
 

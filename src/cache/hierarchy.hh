@@ -80,6 +80,81 @@ struct HierarchyParams
 };
 
 /**
+ * The hierarchy's volatile state: everything but the tag arrays,
+ * which capture themselves (CacheArray::State). Hierarchy derives
+ * from it privately, so this one struct is both the live state and
+ * the value Hierarchy::saveState() captures (DESIGN.md §6). The
+ * closures it holds (MSHR waiters, clearances, parked attempts)
+ * reference only the hierarchy and immutable values, and packets are
+ * immutable once submitted, so a copy stays valid when restored into
+ * the machine it came from.
+ */
+struct HierarchyState
+{
+    /** A coherence transaction parked on a busy resource. */
+    struct Parked
+    {
+        std::function<bool()> attempt; ///< true = made progress, unpark
+    };
+
+    /** One core's L1 state besides its tags. */
+    struct L1
+    {
+        explicit L1(unsigned writebackEntries)
+            : writebacks(writebackEntries)
+        {
+        }
+
+        WritebackBuffer writebacks;
+        /** Adversarial hold on the write-back drain (fuzzing). */
+        Tick wbHeldUntil = 0;
+        /** Outstanding misses keyed by line address. */
+        struct Mshr
+        {
+            bool exclusive = false;
+            std::vector<std::function<void()>> waiters;
+        };
+        std::unordered_map<Addr, Mshr> mshrs;
+    };
+
+    /**
+     * Per-line FIFO of flush writes awaiting controller admission.
+     * At most one write per line is in the mail at a time (inFlight);
+     * the next departs when its predecessor's Ack returns, a Nack
+     * leaves the head queued for the next kick.
+     */
+    struct LineSendQueue
+    {
+        std::deque<PacketPtr> queue;
+        bool inFlight = false;
+    };
+
+    struct PendingEvict
+    {
+        Addr lineAddr;
+        LineData data;
+        /** Persist interlock; empty means unconstrained. */
+        std::function<bool()> clearance;
+    };
+
+    std::vector<L1> cores;
+    unsigned l2MissesInFlight = 0;
+
+    /** Lines with an active coherence transaction. */
+    std::unordered_set<Addr> busyLines;
+
+    std::unordered_map<Addr, LineSendQueue> lineSendQueues;
+
+    std::deque<PendingEvict> pendingL2Evicts;
+    /** Head of pendingL2Evicts is in the mail, awaiting Ack/Nack. */
+    bool evictInFlight = false;
+
+    std::deque<Parked> parked;
+    unsigned activeTransactions = 0;
+    std::uint64_t nextPacketId = 1;
+};
+
+/**
  * The complete coherent cache subsystem for one simulated machine.
  *
  * CPU-side access is exclusively through MemPorts: cores and persist
@@ -89,7 +164,9 @@ struct HierarchyParams
  * fills and persists, so every admission decision in the machine is
  * an explicit asynchronous response, never a same-tick return value.
  */
-class Hierarchy : public SimObject, public MemResponder
+class Hierarchy : public SimObject,
+                  public MemResponder,
+                  private HierarchyState
 {
   public:
     /**
@@ -115,7 +192,7 @@ class Hierarchy : public SimObject, public MemResponder
     void
     setDrainPointRecorder(CoreId core, DrainPointRecorder recorder)
     {
-        cores.at(core).recorder = std::move(recorder);
+        recorders.at(core) = std::move(recorder);
     }
 
     /** Attach the system's observer hub (VMO conflict edges). */
@@ -161,15 +238,18 @@ class Hierarchy : public SimObject, public MemResponder
                pendingL2Evicts.empty() && writebacksPending() == 0;
     }
 
-    /**
-     * Capture / restore the tag arrays, write-back buffers, MSHRs,
-     * parked transactions, and in-flight packet queues. The captured
-     * closures (MSHR waiters, clearances, parked attempts) reference
-     * only `this` and immutable values, so restore targets the same
-     * component graph the capture was taken from.
-     */
-    void saveState(SimSnapshot &snap) const override;
-    void restoreState(const SimSnapshot &snap) override;
+    /** A capture: the volatile state and every tag array's blocks. */
+    struct Snapshot
+    {
+        HierarchyState state;
+        std::vector<CacheArray::State> l1Tags;
+        CacheArray::State l2Tags;
+    };
+
+    /** Capture / restore the whole hierarchy. Restore targets the
+     * machine the capture was taken from. */
+    Snapshot saveState() const;
+    void restoreState(const Snapshot &snap);
 
     /** @name Introspection for tests @{ */
     CoherenceState l1State(CoreId core, Addr addr) const;
@@ -195,34 +275,6 @@ class Hierarchy : public SimObject, public MemResponder
     /** @} */
 
   private:
-    /** A coherence transaction parked on a busy resource. */
-    struct Parked
-    {
-        std::function<bool()> attempt; ///< true = made progress, unpark
-    };
-
-    struct L1
-    {
-        explicit L1(const HierarchyParams &p)
-            : array(p.l1Size, p.l1Ways), writebacks(p.writebackEntries)
-        {
-        }
-
-        CacheArray array;
-        WritebackBuffer writebacks;
-        DrainPointRecorder recorder;
-        /** Adversarial hold on the write-back drain (fuzzing). */
-        Tick wbHeldUntil = 0;
-        /** Outstanding misses keyed by line address. */
-        struct Mshr
-        {
-            bool exclusive = false;
-            std::vector<std::function<void()>> waiters;
-        };
-        std::unordered_map<Addr, Mshr> mshrs;
-        unsigned mshrLimit = 0;
-    };
-
     /** @name Port request servicing (one per MemRequestKind) @{ */
 
     /** @return false if no MSHR is available (the caller Nacks). */
@@ -284,6 +336,14 @@ class Hierarchy : public SimObject, public MemResponder
     void park(std::function<bool()> attempt);
     void scheduleKick();
 
+    /** Send one line's PM writes in snapshot order even across
+     * controller back-pressure retries (strong persist atomicity:
+     * a stale snapshot must never overwrite a fresher one). */
+    void sendLineWrite(Addr lineAddr, PacketPtr pkt);
+    void drainLineWrites(Addr lineAddr);
+    /** Pump every line queue; kick() calls this on controller retry. */
+    void drainAllLineWrites();
+
     MemoryImage &image;
     HierarchyParams params;
     MemController &pmCtrl;
@@ -293,75 +353,16 @@ class Hierarchy : public SimObject, public MemResponder
     MemPort pmPort;
     MemPort dramPort;
 
-    std::vector<L1> cores;
+    /** Per-core L1 tags and persist-interlock recorders. */
+    std::vector<CacheArray> l1Tags;
+    std::vector<DrainPointRecorder> recorders;
     CacheArray l2;
-    unsigned l2MissesInFlight = 0;
 
-    /** Lines with an active coherence transaction. */
-    std::unordered_set<Addr> busyLines;
-
-    /** Send one line's PM writes in snapshot order even across
-     * controller back-pressure retries (strong persist atomicity:
-     * a stale snapshot must never overwrite a fresher one). */
-    void sendLineWrite(Addr lineAddr, PacketPtr pkt);
-    void drainLineWrites(Addr lineAddr);
-    /** Pump every line queue; kick() calls this on controller retry. */
-    void drainAllLineWrites();
-
-    /**
-     * Per-line FIFO of flush writes awaiting controller admission.
-     * At most one write per line is in the mail at a time (inFlight);
-     * the next departs when its predecessor's Ack returns, a Nack
-     * leaves the head queued for the next kick.
-     */
-    struct LineSendQueue
-    {
-        std::deque<PacketPtr> queue;
-        bool inFlight = false;
-    };
-    std::unordered_map<Addr, LineSendQueue> lineSendQueues;
-
-    struct PendingEvict
-    {
-        Addr lineAddr;
-        LineData data;
-        /** Persist interlock; empty means unconstrained. */
-        Clearance clearance;
-    };
-    std::deque<PendingEvict> pendingL2Evicts;
-    /** Head of pendingL2Evicts is in the mail, awaiting Ack/Nack. */
-    bool evictInFlight = false;
-
-    /** Volatile machine state captured by saveState(). */
-    struct L1State
-    {
-        CacheArray::State array;
-        std::deque<WritebackBuffer::Entry> writebacks;
-        std::unordered_map<Addr, L1::Mshr> mshrs;
-        Tick wbHeldUntil = 0;
-    };
-    struct Snapshot
-    {
-        std::vector<L1State> cores;
-        CacheArray::State l2;
-        unsigned l2MissesInFlight = 0;
-        std::unordered_set<Addr> busyLines;
-        std::unordered_map<Addr, LineSendQueue> lineSendQueues;
-        std::deque<PendingEvict> pendingL2Evicts;
-        bool evictInFlight = false;
-        std::deque<Parked> parked;
-        unsigned activeTransactions = 0;
-        std::uint64_t nextPacketId = 1;
-    };
-
-    std::deque<Parked> parked;
     ObserverHub *obsHub = nullptr;
     /** Retry/drain pump; armed at most once per tick. */
     EventQueue::Recurring kickEvent;
     /** Prebuilt adversary-hold retry; built once, borrowed per query. */
     EventQueue::Callback retryKick;
-    unsigned activeTransactions = 0;
-    std::uint64_t nextPacketId = 1;
 };
 
 } // namespace strand

@@ -37,22 +37,28 @@ class WritebackBuffer
     /** Action performed when an entry drains (move data to L2). */
     using DrainFn = std::function<void(Addr, const LineData &)>;
 
-    /**
-     * One buffered write-back. Public so the hierarchy's snapshot can
-     * copy the FIFO; the clearance is a this-plus-values closure from
-     * the persist engine, so a copy stays valid when restored into
-     * the same component graph.
-     */
-    struct Entry
-    {
-        Addr lineAddr;
-        LineData data;
-        Clearance clearance;
-    };
-
     explicit WritebackBuffer(unsigned capacity) : capacity(capacity)
     {
         panicIf(capacity == 0, "write-back buffer needs capacity");
+    }
+
+    /**
+     * Copies carry the buffered entries, which is how the hierarchy's
+     * snapshot captures and restores them. A clearance is a
+     * this-plus-values closure from the persist engine, so a copy
+     * stays valid when restored into the same machine. The capacity
+     * is fixed at construction: assignment panics when it differs,
+     * since the source then comes from a different machine.
+     */
+    WritebackBuffer(const WritebackBuffer &) = default;
+
+    WritebackBuffer &
+    operator=(const WritebackBuffer &other)
+    {
+        panicIf(other.capacity != capacity,
+                "write-back buffer capacity changed across a copy");
+        entries = other.entries;
+        return *this;
     }
 
     bool full() const { return entries.size() >= capacity; }
@@ -110,19 +116,14 @@ class WritebackBuffer
         return false;
     }
 
-    /** Copy out the buffered entries (snapshot support). */
-    std::deque<Entry> snapshotEntries() const { return entries; }
-
-    /** Replace the buffered entries with a captured copy. */
-    void
-    restoreEntries(std::deque<Entry> state)
-    {
-        panicIf(state.size() > capacity,
-                "restored write-back entries exceed capacity");
-        entries = std::move(state);
-    }
-
   private:
+    struct Entry
+    {
+        Addr lineAddr;
+        LineData data;
+        Clearance clearance;
+    };
+
     unsigned capacity;
     std::deque<Entry> entries;
 };

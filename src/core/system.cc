@@ -37,8 +37,8 @@ System::System(const SystemConfig &config)
     coreFinish.assign(cfg.numCores, 0);
     for (CoreId i = 0; i < cfg.numCores; ++i) {
         // Engines parent into the system stat tree under their core's
-        // name so every component has a unique dotted path — the
-        // snapshot layer keys component state by that path.
+        // name so every stat has a unique dotted path — the snapshot's
+        // stat capture keys values by that path.
         auto engine = makePersistEngine(
             cfg.design, "cpu" + std::to_string(i) + ".engine", eq, i,
             *caches, cfg.engine, this);
@@ -150,51 +150,41 @@ System::startCores()
 SimSnapshot
 System::snapshot() const
 {
-    SimSnapshot snap;
     // Kernel state first: the queue capture carries every scheduled
     // one-shot callback by copy and pins the clock.
-    snap.put("system.eq", eq.snapshot());
-    snap.put("system.image", image);
-    snap.put("system.locks", locks.snapshotLocks());
-    RunState rs;
-    rs.persists = persists;
-    rs.coreFinish = coreFinish;
-    rs.lastFinish = lastFinish;
-    rs.streamsLoaded = streamsLoaded;
-    rs.coresStarted = coresStarted;
-    snap.put("system.run", std::move(rs));
-    // Component graph, keyed by dotted instance name. Cores recurse
-    // into their persist engines (and strand buffer units).
-    pmCtrl->saveState(snap);
-    dramCtrl->saveState(snap);
-    caches->saveState(snap);
-    for (const auto &core : cores)
-        core->saveState(snap);
-    snap.put("system.stats", snapshotStats());
+    SimSnapshot snap;
+    snap.eq = eq.snapshot();
+    snap.image = image;
+    snap.locks = locks.snapshotLocks();
+    snap.run = static_cast<const SystemRunState &>(*this);
+    snap.pm = pmCtrl->saveState();
+    snap.dram = dramCtrl->saveState();
+    snap.caches = caches->saveState();
+    for (const auto &core : cores) {
+        snap.cores.push_back(core->saveState());
+        snap.engines.push_back(core->persistEngine().saveState());
+    }
+    snap.stats = snapshotStats();
     return snap;
 }
 
 void
 System::restore(const SimSnapshot &snap)
 {
-    eq.restore(snap.get<EventQueue::Snapshot>("system.eq"));
-    image = snap.get<MemoryImage>("system.image");
-    locks.restoreLocks(
-        snap.get<std::unordered_map<std::uint32_t, LockTable::Lock>>(
-            "system.locks"));
-    const RunState &rs = snap.get<RunState>("system.run");
-    persists = rs.persists;
-    coreFinish = rs.coreFinish;
-    lastFinish = rs.lastFinish;
-    streamsLoaded = rs.streamsLoaded;
-    coresStarted = rs.coresStarted;
-    pmCtrl->restoreState(snap);
-    dramCtrl->restoreState(snap);
-    caches->restoreState(snap);
-    for (auto &core : cores)
-        core->restoreState(snap);
-    restoreStats(
-        snap.get<stats::StatGroup::StatValues>("system.stats"));
+    panicIf(snap.cores.size() != cores.size(),
+            "core count changed across a snapshot");
+    eq.restore(snap.eq);
+    image = snap.image;
+    locks.restoreLocks(snap.locks);
+    static_cast<SystemRunState &>(*this) = snap.run;
+    pmCtrl->restoreState(snap.pm);
+    dramCtrl->restoreState(snap.dram);
+    caches->restoreState(snap.caches);
+    for (std::size_t i = 0; i < cores.size(); ++i) {
+        cores[i]->restoreState(snap.cores[i]);
+        cores[i]->persistEngine().restoreState(snap.engines[i]);
+    }
+    restoreStats(snap.stats);
 }
 
 double

@@ -21,7 +21,6 @@
 #include "cpu/core.hh"
 #include "persist/design.hh"
 #include "runtime/layout.hh"
-#include "sim/snapshot.hh"
 
 namespace strand
 {
@@ -54,9 +53,42 @@ struct SystemConfig
 };
 
 /**
+ * Run bookkeeping: the persist trace, per-core finish ticks and the
+ * run's progress flags. System derives from it privately (DESIGN.md
+ * §6).
+ */
+struct SystemRunState
+{
+    std::vector<PersistRecord> persists;
+    std::vector<Tick> coreFinish;
+    Tick lastFinish = 0;
+    bool streamsLoaded = false;
+    bool coresStarted = false;
+};
+
+/**
+ * One capture of a whole machine, taken by System::snapshot() and
+ * valid only for System::restore() on the same System (DESIGN.md §6).
+ */
+struct SimSnapshot
+{
+    EventQueue::Snapshot eq;
+    MemoryImage image;
+    std::unordered_map<std::uint32_t, LockTable::Lock> locks;
+    SystemRunState run;
+    MemControllerState pm;
+    MemControllerState dram;
+    Hierarchy::Snapshot caches;
+    /** One entry per core, and one per core's persist engine. */
+    std::vector<CoreState> cores;
+    std::vector<PersistEngine::Snapshot> engines;
+    stats::StatGroup::StatValues stats;
+};
+
+/**
  * A complete simulated machine.
  */
-class System : public stats::StatGroup
+class System : public stats::StatGroup, private SystemRunState
 {
   public:
     explicit System(const SystemConfig &config);
@@ -155,9 +187,8 @@ class System : public stats::StatGroup
     /**
      * Capture the whole machine: the event-queue kernel state, the
      * memory image, the lock table, run bookkeeping, every component
-     * in the graph (controllers, hierarchy, cores with their persist
-     * engines), and all statistics. The capture walks the graph by
-     * dotted instance name and is only valid for restore() on this
+     * (controllers, hierarchy, cores and their persist engines), and
+     * all statistics. The capture is only valid for restore() on this
      * same System instance — in-flight callbacks reference the live
      * objects.
      */
@@ -197,16 +228,6 @@ class System : public stats::StatGroup
         std::vector<PersistRecord> &out;
     };
 
-    /** Run bookkeeping captured by snapshot(). */
-    struct RunState
-    {
-        std::vector<PersistRecord> persists;
-        std::vector<Tick> coreFinish;
-        Tick lastFinish = 0;
-        bool streamsLoaded = false;
-        bool coresStarted = false;
-    };
-
     SystemConfig cfg;
     EventQueue eq;
     MemoryImage image;
@@ -215,13 +236,8 @@ class System : public stats::StatGroup
     std::unique_ptr<Hierarchy> caches;
     LockTable locks;
     std::vector<std::unique_ptr<Core>> cores;
-    std::vector<PersistRecord> persists;
     ObserverHub hub;
     TraceRecorder traceRecorder{persists};
-    std::vector<Tick> coreFinish;
-    Tick lastFinish = 0;
-    bool streamsLoaded = false;
-    bool coresStarted = false;
 };
 
 } // namespace strand

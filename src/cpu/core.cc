@@ -178,55 +178,6 @@ Core::start()
     tickEvent.schedule(clockEdge());
 }
 
-void
-Core::saveState(SimSnapshot &snap) const
-{
-    Snapshot s;
-    s.pc = pc;
-    s.nextSeq = nextSeq;
-    s.rob = rob;
-    s.storeQueue = storeQueue;
-    s.loadQueue = loadQueue;
-    s.unissuedStores = unissuedStores;
-    s.incompleteStores = incompleteStores;
-    s.pendingReleases = pendingReleases;
-    s.storeDecisionPending = storeDecisionPending;
-    s.computeBusyUntil = computeBusyUntil;
-    s.stallReason = stallReason;
-    s.isFinished = isFinished;
-    s.started = started;
-    s.sleeping = sleeping;
-    s.sleptSince = sleptSince;
-    s.sleepCause = sleepCause;
-    s.workDone = workDone;
-    snap.put(snapshotName(), s);
-    engine->saveState(snap);
-}
-
-void
-Core::restoreState(const SimSnapshot &snap)
-{
-    const Snapshot &s = snap.get<Snapshot>(snapshotName());
-    pc = s.pc;
-    nextSeq = s.nextSeq;
-    rob = s.rob;
-    storeQueue = s.storeQueue;
-    loadQueue = s.loadQueue;
-    unissuedStores = s.unissuedStores;
-    incompleteStores = s.incompleteStores;
-    pendingReleases = s.pendingReleases;
-    storeDecisionPending = s.storeDecisionPending;
-    computeBusyUntil = s.computeBusyUntil;
-    stallReason = s.stallReason;
-    isFinished = s.isFinished;
-    started = s.started;
-    sleeping = s.sleeping;
-    sleptSince = s.sleptSince;
-    sleepCause = s.sleepCause;
-    workDone = s.workDone;
-    engine->restoreState(snap);
-}
-
 double
 Core::persistStallCycles() const
 {

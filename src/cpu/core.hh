@@ -64,9 +64,92 @@ enum class StallCause : unsigned
 };
 
 /**
+ * A core's volatile pipeline state: the op-stream cursor, ROB, store
+ * and load queues, pending releases and sleep state. Core derives
+ * from it privately, so this one struct is both the live state and
+ * the value Core::saveState() captures (DESIGN.md §6). The op stream
+ * itself is fixed input and is not part of it.
+ */
+struct CoreState
+{
+    struct RobEntry
+    {
+        SeqNum seq;
+        bool done;
+    };
+
+    struct SqEntry
+    {
+        SeqNum seq = 0;
+        Addr addr = 0;
+        std::uint64_t value = 0;
+        /** Accepted by the L1 (the hierarchy Acked the request). */
+        bool issued = false;
+        bool completed = false;
+        /** In the mail, awaiting the hierarchy's Ack/Nack decision. */
+        bool sent = false;
+    };
+
+    struct LqEntry
+    {
+        SeqNum seq = 0;
+        Addr addr = 0;
+        bool issued = false;
+        bool completed = false;
+    };
+
+    /**
+     * A release that has retired from the pipeline but whose lock
+     * handoff waits for prior stores to drain and for any preceding
+     * drain primitive to complete (release-store semantics).
+     */
+    struct PendingRelease
+    {
+        std::uint32_t lockId;
+        SeqNum seq;
+    };
+
+    /**
+     * A store request is in the mail and its Ack/Nack has not come
+     * back. At most one store awaits its admission decision at a
+     * time, so acceptance stays in program order (a Nacked elder
+     * store can never be overtaken by a younger one).
+     */
+    bool storeDecisionPending = false;
+
+    std::size_t pc = 0;
+    SeqNum nextSeq = 1;
+
+    std::deque<RobEntry> rob;
+    std::deque<SqEntry> storeQueue;
+    std::deque<LqEntry> loadQueue;
+
+    /** Seqs of stores dispatched but not yet issued / completed. */
+    std::set<SeqNum> unissuedStores;
+    std::set<SeqNum> incompleteStores;
+
+    std::deque<PendingRelease> pendingReleases;
+
+    /** Dispatch is busy executing serial application work. */
+    Tick computeBusyUntil = 0;
+
+    StallCause stallReason = StallCause::None;
+    bool isFinished = false;
+    bool started = false;
+    /** True while no tick event is scheduled (idle core). */
+    bool sleeping = false;
+    /** Tick at which the core went to sleep (0 = not sleeping). */
+    Tick sleptSince = 0;
+    /** Stall cause attributed to the current sleep period. */
+    StallCause sleepCause = StallCause::Idle;
+    /** Bumped by completion callbacks; progress marker. */
+    std::uint64_t workDone = 0;
+};
+
+/**
  * One simulated core executing a fixed operation stream.
  */
-class Core : public ClockedObject
+class Core : public ClockedObject, private CoreState
 {
   public:
     Core(std::string name, EventQueue &eq, CoreId id, Hierarchy &hier,
@@ -106,13 +189,20 @@ class Core : public ClockedObject
     double persistStallCycles() const;
 
     /**
-     * Capture / restore the pipeline (op-stream cursor, ROB, store
-     * and load queues, pending releases, sleep state) and recurse
-     * into the persist engine. The op stream itself is fixed input
-     * and is not captured; restore targets the same loaded system.
+     * Capture / restore the pipeline. The persist engine is captured
+     * on its own; restore targets the same loaded system.
      */
-    void saveState(SimSnapshot &snap) const override;
-    void restoreState(const SimSnapshot &snap) override;
+    CoreState
+    saveState() const
+    {
+        return static_cast<const CoreState &>(*this);
+    }
+
+    void
+    restoreState(const CoreState &state)
+    {
+        static_cast<CoreState &>(*this) = state;
+    }
 
     /** @name Statistics @{ */
     stats::Scalar numCycles;
@@ -125,32 +215,6 @@ class Core : public ClockedObject
     /** @} */
 
   private:
-    struct RobEntry
-    {
-        SeqNum seq;
-        bool done;
-    };
-
-    struct SqEntry
-    {
-        SeqNum seq = 0;
-        Addr addr = 0;
-        std::uint64_t value = 0;
-        /** Accepted by the L1 (the hierarchy Acked the request). */
-        bool issued = false;
-        bool completed = false;
-        /** In the mail, awaiting the hierarchy's Ack/Nack decision. */
-        bool sent = false;
-    };
-
-    struct LqEntry
-    {
-        SeqNum seq = 0;
-        Addr addr = 0;
-        bool issued = false;
-        bool completed = false;
-    };
-
     void tick();
     /** Route one port response (load/store Ack/Nack/Done). */
     void onMemResponse(const MemResponse &resp);
@@ -181,6 +245,9 @@ class Core : public ClockedObject
      */
     void notifyDispatch(const Op &op, SeqNum seq);
 
+    /** Perform any pending releases whose ordering has resolved. */
+    void serviceReleases();
+
     CoreId coreId;
     Hierarchy &hier;
     std::unique_ptr<PersistEngine> engine;
@@ -189,80 +256,12 @@ class Core : public ClockedObject
 
     /** Mailbox to the hierarchy; all loads and stores travel here. */
     MemPort port;
-    /**
-     * A store request is in the mail and its Ack/Nack has not come
-     * back. At most one store awaits its admission decision at a
-     * time, so acceptance stays in program order (a Nacked elder
-     * store can never be overtaken by a younger one).
-     */
-    bool storeDecisionPending = false;
 
     OpStream stream;
-    std::size_t pc = 0;
-    SeqNum nextSeq = 1;
-
-    std::deque<RobEntry> rob;
-    std::deque<SqEntry> storeQueue;
-    std::deque<LqEntry> loadQueue;
-
-    /** Seqs of stores dispatched but not yet issued / completed. */
-    std::set<SeqNum> unissuedStores;
-    std::set<SeqNum> incompleteStores;
-
-    /**
-     * Releases that have retired from the pipeline but whose lock
-     * handoff waits for prior stores to drain and for any preceding
-     * drain primitive to complete (release-store semantics).
-     */
-    struct PendingRelease
-    {
-        std::uint32_t lockId;
-        SeqNum seq;
-    };
-    std::deque<PendingRelease> pendingReleases;
-
-    /** Volatile machine state captured by saveState(). */
-    struct Snapshot
-    {
-        std::size_t pc = 0;
-        SeqNum nextSeq = 1;
-        std::deque<RobEntry> rob;
-        std::deque<SqEntry> storeQueue;
-        std::deque<LqEntry> loadQueue;
-        std::set<SeqNum> unissuedStores;
-        std::set<SeqNum> incompleteStores;
-        std::deque<PendingRelease> pendingReleases;
-        bool storeDecisionPending = false;
-        Tick computeBusyUntil = 0;
-        StallCause stallReason = StallCause::None;
-        bool isFinished = false;
-        bool started = false;
-        bool sleeping = false;
-        Tick sleptSince = 0;
-        StallCause sleepCause = StallCause::Idle;
-        std::uint64_t workDone = 0;
-    };
-
-    /** Perform any pending releases whose ordering has resolved. */
-    void serviceReleases();
-
-    /** Dispatch is busy executing serial application work. */
-    Tick computeBusyUntil = 0;
 
     /** The single per-cycle evaluation event, re-armed in place. */
     EventQueue::Recurring tickEvent;
 
-    StallCause stallReason = StallCause::None;
-    bool isFinished = false;
-    bool started = false;
-    /** True while no tick event is scheduled (idle core). */
-    bool sleeping = false;
-    /** Tick at which the core went to sleep (0 = not sleeping). */
-    Tick sleptSince = 0;
-    /** Stall cause attributed to the current sleep period. */
-    StallCause sleepCause = StallCause::Idle;
-    /** Bumped by completion callbacks; progress marker. */
-    std::uint64_t workDone = 0;
     std::function<void()> finishedCallback;
     ObserverHub *obsHub = nullptr;
 };

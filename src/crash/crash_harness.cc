@@ -89,15 +89,56 @@ tornAdmitMask(std::uint8_t written, unsigned tornWords)
 }
 
 /** One evaluated crash point, before folding into the cell result. */
-struct PointOutcome
+struct PointOutcome : CrashPointCheck
 {
     Tick when = 0;
-    bool passed = false;
-    RecoveryReport report;
-    std::string violation;
 };
 
 } // namespace
+
+CrashPointCheck
+CrashPointChecker::check(
+    const MemoryImage &machine, unsigned tornWords,
+    const std::function<void(MemoryImage &)> &strike) const
+{
+    CrashPointCheck result;
+    MemoryImage snapshot;
+    if (tornWords >= wordsPerLine) {
+        snapshot = machine.clonePersisted();
+    } else {
+        // Tear the final admission: keep the first tornWords of its
+        // written words, revert the rest to their prior persisted
+        // state.
+        snapshot = machine.clonePersistedTorn(
+            tornAdmitMask(machine.lastAdmissionMask(), tornWords));
+    }
+    // Media faults strike the frozen snapshot — the moment the power
+    // failed — before the oracle classifies regions, so the oracle
+    // reasons over exactly the state recovery sees.
+    strike(snapshot);
+    std::vector<bool> committed = oracle.committedRegions(snapshot);
+    result.report =
+        recovery.recover(snapshot, programThreads, scan, options);
+
+    if (result.report.verdict == RecoveryVerdict::Failed) {
+        result.violation = "recovery FAILED: metadata area poisoned";
+    } else {
+        result.violation =
+            oracle.checkRecovered(snapshot, committed, &result.report);
+    }
+    // Structural invariants assume every region was resolved; a
+    // degraded recovery deliberately leaves quarantined threads'
+    // regions unresolved ("degraded but consistent"), so only FULL
+    // verdicts are held to them (media off always yields FULL).
+    if (result.violation.empty() && workload &&
+        result.report.verdict == RecoveryVerdict::Full) {
+        auto read = [&snapshot](Addr addr) {
+            return snapshot.readPersisted(addr);
+        };
+        result.violation = workload->checkInvariants(read);
+    }
+    return result;
+}
 
 CrashCellResult
 runCrashCell(const RecordedWorkload &recorded, HwDesign design,
@@ -141,65 +182,28 @@ runCrashCell(const RecordedWorkload &recorded, HwDesign design,
         config.fork.value_or(envConfig().crashFork.value_or(false));
     const bool pmosan =
         config.pmosan.value_or(envConfig().pmosan.value_or(false));
-    RecoveryManager recovery{ip.layout};
-    const unsigned programThreads = recorded.params.numThreads;
     // The paged scan is what makes forking cheap; the two-run oracle
     // stays on the faithful per-word scan so the CI differential gate
     // also cross-checks the two scans against each other.
-    const RecoveryScan scan =
-        forked ? RecoveryScan::Paged : RecoveryScan::Faithful;
+    const CrashPointChecker checker{
+        .oracle = oracle,
+        .recovery = RecoveryManager{ip.layout},
+        .programThreads = recorded.params.numThreads,
+        .scan = forked ? RecoveryScan::Paged : RecoveryScan::Faithful,
+        .options = {.verifyChecksums = config.verifyChecksums},
+        .workload = recorded.workload.get()};
 
-    // Evaluate one crash point against @p machine's persisted view.
-    // Pure: clones the image, recovers the clone, checks the oracle
-    // and the workload invariants; @p machine is never written.
+    // Evaluate one crash point against @p machine's persisted view;
+    // @p machine is never written.
     auto evaluate = [&](const MemoryImage &machine, Tick when) {
-        PointOutcome outcome;
-        outcome.when = when;
-        MemoryImage snapshot;
-        if (config.tornWords >= wordsPerLine) {
-            snapshot = machine.clonePersisted();
-        } else {
-            // Tear the final admission: keep the first tornWords of
-            // its written words, revert the rest to their prior
-            // persisted state.
-            snapshot = machine.clonePersistedTorn(tornAdmitMask(
-                machine.lastAdmissionMask(), config.tornWords));
-        }
-        // Media faults strike the frozen snapshot — the moment the
-        // power failed — before the oracle classifies regions, so
-        // the oracle reasons over exactly the state recovery sees.
-        if (config.media.any()) {
-            applyMediaFaults(snapshot, machine.recentAdmissions(),
-                             config.media, ip.layout, when);
-        }
-        std::vector<bool> committed =
-            oracle.committedRegions(snapshot);
-        RecoveryOptions options;
-        options.verifyChecksums = config.verifyChecksums;
-        outcome.report =
-            recovery.recover(snapshot, programThreads, scan, options);
-
-        std::string err;
-        if (outcome.report.verdict == RecoveryVerdict::Failed) {
-            err = "recovery FAILED: metadata area poisoned";
-        } else {
-            err = oracle.checkRecovered(snapshot, committed,
-                                        &outcome.report);
-        }
-        // Structural invariants assume every region was resolved;
-        // a degraded recovery deliberately leaves quarantined
-        // threads' regions unresolved, so only FULL verdicts are
-        // held to them (media off always yields FULL).
-        if (err.empty() && recorded.workload &&
-            outcome.report.verdict == RecoveryVerdict::Full) {
-            auto read = [&snapshot](Addr addr) {
-                return snapshot.readPersisted(addr);
-            };
-            err = recorded.workload->checkInvariants(read);
-        }
-        outcome.passed = err.empty();
-        outcome.violation = std::move(err);
-        return outcome;
+        auto strike = [&](MemoryImage &snapshot) {
+            if (config.media.any()) {
+                applyMediaFaults(snapshot, machine.recentAdmissions(),
+                                 config.media, ip.layout, when);
+            }
+        };
+        return PointOutcome{
+            checker.check(machine, config.tornWords, strike), when};
     };
 
     // Fold an outcome into the cell result. Both modes fold in
@@ -234,7 +238,7 @@ runCrashCell(const RecordedWorkload &recorded, HwDesign design,
             stats->replayed.sample(static_cast<double>(
                 outcome.report.redoEntriesReplayed));
         }
-        if (outcome.passed) {
+        if (outcome.violation.empty()) {
             ++result.pointsPassed;
             return;
         }
@@ -310,9 +314,7 @@ runCrashCell(const RecordedWorkload &recorded, HwDesign design,
             cap.when = sys->eventQueue().curTick();
             cap.snap = sys->snapshot();
             cap.sanitizerState = sanitizer.snapshotState();
-            inform("crash-fork capture @{}: {} keys, ~{} bytes",
-                   cap.when, cap.snap.size(),
-                   cap.snap.approxBytes());
+            inform("crash-fork capture @{}", cap.when);
             machineCaptures.push_back(std::move(cap));
             if (machineCaptures.size() > 2)
                 machineCaptures.pop_front();

@@ -45,6 +45,7 @@
 #ifndef CRASH_CRASH_HARNESS_HH
 #define CRASH_CRASH_HARNESS_HH
 
+#include <functional>
 #include <optional>
 #include <string>
 #include <vector>
@@ -155,6 +156,41 @@ struct CrashPointPlan
 CrashPointPlan planCrashPoints(std::vector<Tick> enumerated,
                                Tick endTick,
                                const CrashHarnessConfig &config);
+
+/** What one crash-point check found. */
+struct CrashPointCheck
+{
+    RecoveryReport report;
+    std::string violation; ///< empty when the recovery passed
+};
+
+/**
+ * The crash-point check that crash cells and fuzz trials share, with
+ * the parts that stay fixed for a whole cell or trial.
+ */
+struct CrashPointChecker
+{
+    const CrashOracle &oracle;
+    RecoveryManager recovery;
+    unsigned programThreads = 0;
+    RecoveryScan scan = RecoveryScan::Faithful;
+    RecoveryOptions options;
+    /** Structural invariants held to FULL recoveries; may be null. */
+    const Workload *workload = nullptr;
+
+    /**
+     * Fail the power with @p machine's persisted state. The check
+     * clones that state, tearing the newest admission down to its
+     * first @p tornWords written words when tornWords < wordsPerLine,
+     * and lets @p strike apply media faults to the clone. Then the
+     * oracle classifies regions, recovery runs on the clone, and the
+     * result must pass the oracle and, for a FULL verdict, the
+     * workload's invariants. @p machine is never written.
+     */
+    CrashPointCheck
+    check(const MemoryImage &machine, unsigned tornWords,
+          const std::function<void(MemoryImage &)> &strike) const;
+};
 
 /** Outcome of one injected crash point. */
 struct CrashPointResult

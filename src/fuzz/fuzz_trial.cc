@@ -4,7 +4,7 @@
 
 #include "core/env_config.hh"
 #include "core/observer_util.hh"
-#include "crash/crash_oracle.hh"
+#include "crash/crash_harness.hh"
 #include "runtime/instrumentor.hh"
 #include "runtime/recovery.hh"
 #include "sanitizer/pmo_sanitizer.hh"
@@ -132,83 +132,49 @@ runWithInjection(const FuzzTrialContext &ctx, DrainAdversary &adv,
     TrialRig rig(ctx);
 
     auto sys = rig.buildSystem(ctx, &adv);
-    RecoveryManager recovery{rig.ip.layout};
-    const unsigned programThreads = ctx.recorded.params.numThreads;
+    const CrashPointChecker checker{
+        .oracle = rig.oracle,
+        .recovery = RecoveryManager{rig.ip.layout},
+        .programThreads = ctx.recorded.params.numThreads,
+        .scan = scan,
+        .options = {.verifyChecksums = ctx.spec.verifyChecksums},
+        .workload = ctx.recorded.workload.get()};
 
+    // Each media fault class asks the adversary per opportunity;
+    // fired decisions carry their entropy in the log, so replay and
+    // ddmin apply them exactly.
+    const std::function<void(MemoryImage &)> strike =
+        [&](MemoryImage &snapshot) {
+        if (!ctx.spec.media.any())
+            return;
+        const AdmissionRing ring = sys->memory().recentAdmissions();
+        unsigned dropped = 0;
+        for (unsigned i = 0; i < ctx.spec.media.dropAdmissions; ++i) {
+            if (!adv.considerMedia(FuzzSite::MediaDrop))
+                continue;
+            if (!mediaDropNewest(snapshot, ring, dropped))
+                break;
+        }
+        for (unsigned i = 0; i < ctx.spec.media.bitFlips; ++i) {
+            if (auto entropy = adv.considerMedia(FuzzSite::MediaFlip)) {
+                mediaFlipBit(snapshot, ring, dropped, rig.ip.layout,
+                             *entropy);
+            }
+        }
+        for (unsigned i = 0; i < ctx.spec.media.poisonLines; ++i) {
+            if (auto entropy =
+                    adv.considerMedia(FuzzSite::MediaPoison)) {
+                mediaPoisonLine(snapshot, ring, dropped, rig.ip.layout,
+                                *entropy);
+            }
+        }
+    };
+
+    // @p tearLast tears the admission that just happened.
     auto inject = [&](Tick when, bool tearLast) {
-        MemoryImage snapshot;
-        if (!tearLast || tornWords >= wordsPerLine) {
-            snapshot = sys->memory().clonePersisted();
-        } else {
-            // Tear the admission that just happened: keep only the
-            // first tornWords of its written words.
-            std::uint8_t written = sys->memory().lastAdmissionMask();
-            std::uint8_t admit = 0;
-            unsigned kept = 0;
-            for (unsigned i = 0;
-                 i < wordsPerLine && kept < tornWords; ++i) {
-                if (written & (1u << i)) {
-                    admit |= static_cast<std::uint8_t>(1u << i);
-                    ++kept;
-                }
-            }
-            snapshot = sys->memory().clonePersistedTorn(admit);
-        }
-        // Media faults strike the frozen snapshot before the oracle
-        // computes committed regions, so the oracle reasons over
-        // exactly the image recovery sees. Each fault class asks the
-        // adversary per opportunity; fired decisions carry their
-        // entropy in the log, so replay and ddmin apply them exactly.
-        if (ctx.spec.media.any()) {
-            const AdmissionRing ring =
-                sys->memory().recentAdmissions();
-            unsigned dropped = 0;
-            for (unsigned i = 0;
-                 i < ctx.spec.media.dropAdmissions; ++i) {
-                if (!adv.considerMedia(FuzzSite::MediaDrop))
-                    continue;
-                if (!mediaDropNewest(snapshot, ring, dropped))
-                    break;
-            }
-            for (unsigned i = 0; i < ctx.spec.media.bitFlips; ++i) {
-                if (auto entropy =
-                        adv.considerMedia(FuzzSite::MediaFlip)) {
-                    mediaFlipBit(snapshot, ring, dropped,
-                                 rig.ip.layout, *entropy);
-                }
-            }
-            for (unsigned i = 0; i < ctx.spec.media.poisonLines;
-                 ++i) {
-                if (auto entropy =
-                        adv.considerMedia(FuzzSite::MediaPoison)) {
-                    mediaPoisonLine(snapshot, ring, dropped,
-                                    rig.ip.layout, *entropy);
-                }
-            }
-        }
-        std::vector<bool> committed =
-            rig.oracle.committedRegions(snapshot);
-        RecoveryOptions ropts;
-        ropts.verifyChecksums = ctx.spec.verifyChecksums;
-        RecoveryReport report =
-            recovery.recover(snapshot, programThreads, scan, ropts);
-
-        std::string err;
-        if (report.verdict == RecoveryVerdict::Failed)
-            err = "recovery FAILED: metadata area poisoned";
-        else
-            err = rig.oracle.checkRecovered(snapshot, committed,
-                                            &report);
-        // Structural invariants only bind un-degraded recoveries: a
-        // quarantined region legitimately leaves the structure
-        // partial ("degraded but consistent").
-        if (err.empty() && report.verdict == RecoveryVerdict::Full &&
-            ctx.recorded.workload) {
-            auto read = [&snapshot](Addr addr) {
-                return snapshot.readPersisted(addr);
-            };
-            err = ctx.recorded.workload->checkInvariants(read);
-        }
+        const unsigned torn = tearLast ? tornWords : wordsPerLine;
+        std::string err =
+            checker.check(sys->memory(), torn, strike).violation;
         ++outcome.pointsChecked;
         if (err.empty())
             return;
@@ -289,10 +255,7 @@ runWithInjection(const FuzzTrialContext &ctx, DrainAdversary &adv,
                     cap.serviced = sys->eventsServiced();
                     cap.committed = static_cast<std::uint64_t>(
                         sys->totalCommitted());
-                    inform("fuzz-fork capture @{}: {} keys, ~{} "
-                           "bytes",
-                           cap.when, cap.snap.size(),
-                           cap.snap.approxBytes());
+                    inform("fuzz-fork capture @{}", cap.when);
                     captures.push_back(std::move(cap));
                     if (captures.size() > 2)
                         captures.pop_front();

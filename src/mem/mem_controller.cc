@@ -35,22 +35,30 @@ MemController::MemController(std::string name, EventQueue &eq,
       readLatencyHist(this, "readLatency",
                       "read service latency in ticks"),
       image(image), params(params), persistent(persistent),
-      banks(params.banks)
+      readEvents(params.readQueueEntries),
+      writeEvents(params.writeQueueEntries)
 {
     fatalIf(params.banks == 0, "controller must have at least one bank");
-    // Build every pooled slot (and its recurring completion event)
-    // up front. Snapshot restore requires that no recurring event be
-    // bound after a capture, and the pools are bounded by the
-    // queue-entry limits anyway. Free-list order mimics on-demand
-    // growth: slot 0 is acquired first.
-    for (unsigned i = 0; i < params.readQueueEntries; ++i)
-        newReadSlot();
-    for (auto it = readSlots.rbegin(); it != readSlots.rend(); ++it)
-        freeReadSlots.push_back(it->get());
-    for (unsigned i = 0; i < params.writeQueueEntries; ++i)
-        newWriteSlot();
-    for (auto it = writeSlots.rbegin(); it != writeSlots.rend(); ++it)
-        freeWriteSlots.push_back(it->get());
+    banks.resize(params.banks);
+    // The pools are bounded by the queue-entry limits, so every slot
+    // and its completion event are built here: a restore requires
+    // that no recurring event be bound after a capture. Free-list
+    // order mimics on-demand growth: slot 0 is acquired first.
+    readSlots.resize(params.readQueueEntries);
+    for (std::size_t i = readSlots.size(); i-- > 0;)
+        freeReadSlots.push_back(i);
+    writeSlots.resize(params.writeQueueEntries);
+    for (std::size_t i = writeSlots.size(); i-- > 0;)
+        freeWriteSlots.push_back(i);
+
+    for (std::size_t i = 0; i < readEvents.size(); ++i) {
+        readEvents[i].init(eq, [this, i] { completeRead(i); },
+                           EventPriority::MemoryResponse);
+    }
+    for (std::size_t i = 0; i < writeEvents.size(); ++i) {
+        writeEvents[i].init(eq, [this, i] { advanceWrite(i); },
+                            EventPriority::MemoryResponse);
+    }
 }
 
 MemController::Bank &
@@ -111,85 +119,59 @@ MemController::handleRequest(MemPort &port, const MemRequest &req)
     port.respond(std::move(resp));
 }
 
-MemController::ReadSlot *
-MemController::acquireReadSlot()
+std::size_t
+MemController::acquireSlot(std::vector<std::size_t> &free)
 {
-    if (!freeReadSlots.empty()) {
-        ReadSlot *slot = freeReadSlots.back();
-        freeReadSlots.pop_back();
-        return slot;
-    }
-    // Unreachable while admission bounds in-flight requests below
-    // the eagerly built pool; kept as a defensive fallback.
-    return newReadSlot();
+    panicIf(free.empty(), "{}: no free request slot", fullName());
+    const std::size_t slot = free.back();
+    free.pop_back();
+    return slot;
 }
 
-MemController::ReadSlot *
-MemController::newReadSlot()
+void
+MemController::completeRead(std::size_t slot)
 {
-    readSlots.push_back(std::make_unique<ReadSlot>());
-    ReadSlot *slot = readSlots.back().get();
-    slot->ev.init(eq, [this, slot] {
-        // Free the slot before the response runs so a request issued
-        // from the callback can reuse it.
-        PacketPtr pkt = std::move(slot->pkt);
-        freeReadSlots.push_back(slot);
-        --readsInFlight;
-        if (pkt->onResponse)
-            pkt->onResponse();
+    // Free the slot before the response runs so a request issued from
+    // the callback can reuse it.
+    PacketPtr pkt = std::move(readSlots[slot]);
+    freeReadSlots.push_back(slot);
+    --readsInFlight;
+    if (pkt->onResponse)
+        pkt->onResponse();
+    notifyRetry();
+}
+
+void
+MemController::advanceWrite(std::size_t slot)
+{
+    WriteSlot &write = writeSlots[slot];
+    if (write.inMedia) {
+        write.pkt.reset();
+        write.inMedia = false;
+        freeWriteSlots.push_back(slot);
+        --writesInFlight;
         notifyRetry();
-    }, EventPriority::MemoryResponse);
-    return slot;
-}
-
-MemController::WriteSlot *
-MemController::acquireWriteSlot()
-{
-    if (!freeWriteSlots.empty()) {
-        WriteSlot *slot = freeWriteSlots.back();
-        freeWriteSlots.pop_back();
-        return slot;
+        return;
     }
-    // Unreachable while admission bounds in-flight requests below
-    // the eagerly built pool; kept as a defensive fallback.
-    return newWriteSlot();
-}
-
-MemController::WriteSlot *
-MemController::newWriteSlot()
-{
-    writeSlots.push_back(std::make_unique<WriteSlot>());
-    WriteSlot *slot = writeSlots.back().get();
-    slot->ev.init(eq, [this, slot] {
-        if (!slot->inMedia) {
-            // ADR admission: the write is now in the persist domain
-            // and is acknowledged; the media program follows.
-            const PacketPtr &pkt = slot->pkt;
-            if (persistent) {
-                image.persistLine(pkt->data);
-                if (persistObserver)
-                    persistObserver(*pkt, curTick());
-            }
-            if (pkt->onResponse)
-                pkt->onResponse();
-            // Media program happens after admission; the queue slot
-            // is held until the media write retires (back-pressure).
-            Tick done = serviceOnBank(pkt->addr, curTick(),
-                                      params.mediaWriteLatency,
-                                      params.mediaWriteRowHitLatency,
-                                      params.writeOccupancy,
-                                      params.writeRowHitOccupancy);
-            slot->inMedia = true;
-            slot->ev.schedule(done);
-        } else {
-            slot->pkt.reset();
-            slot->inMedia = false;
-            freeWriteSlots.push_back(slot);
-            --writesInFlight;
-            notifyRetry();
-        }
-    }, EventPriority::MemoryResponse);
-    return slot;
+    // ADR admission: the write is now in the persist domain and is
+    // acknowledged; the media program follows.
+    const PacketPtr &pkt = write.pkt;
+    if (persistent) {
+        image.persistLine(pkt->data);
+        if (persistObserver)
+            persistObserver(*pkt, curTick());
+    }
+    if (pkt->onResponse)
+        pkt->onResponse();
+    // Media program happens after admission; the queue slot is held
+    // until the media write retires (back-pressure).
+    Tick done = serviceOnBank(pkt->addr, curTick(),
+                              params.mediaWriteLatency,
+                              params.mediaWriteRowHitLatency,
+                              params.writeOccupancy,
+                              params.writeRowHitOccupancy);
+    write.inMedia = true;
+    writeEvents[slot].schedule(done);
 }
 
 void
@@ -203,9 +185,9 @@ MemController::handleRead(const PacketPtr &pkt)
                               params.readOccupancy,
                               params.readOccupancy);
     readLatencyHist.sample(static_cast<double>(done - issued));
-    ReadSlot *slot = acquireReadSlot();
-    slot->pkt = pkt;
-    slot->ev.schedule(done);
+    const std::size_t slot = acquireSlot(freeReadSlots);
+    readSlots[slot] = pkt;
+    readEvents[slot].schedule(done);
 }
 
 void
@@ -216,9 +198,9 @@ MemController::handleWrite(const PacketPtr &pkt)
     // ADR admission: transit to the controller, then the write is in
     // the persist domain. The ack back to the flushing unit is sent
     // at the same point.
-    WriteSlot *slot = acquireWriteSlot();
-    slot->pkt = pkt;
-    slot->ev.schedule(curTick() + params.writeAcceptLatency);
+    const std::size_t slot = acquireSlot(freeWriteSlots);
+    writeSlots[slot].pkt = pkt;
+    writeEvents[slot].schedule(curTick() + params.writeAcceptLatency);
 }
 
 void
@@ -229,60 +211,12 @@ MemController::notifyRetry()
 }
 
 void
-MemController::saveState(SimSnapshot &snap) const
+MemController::restoreState(const MemControllerState &state)
 {
-    Snapshot s;
-    s.banks = banks;
-    s.readsInFlight = readsInFlight;
-    s.writesInFlight = writesInFlight;
-    s.readPkts.reserve(readSlots.size());
-    for (const auto &slot : readSlots)
-        s.readPkts.push_back(slot->pkt);
-    s.writePkts.reserve(writeSlots.size());
-    s.writeInMedia.reserve(writeSlots.size());
-    for (const auto &slot : writeSlots) {
-        s.writePkts.push_back(slot->pkt);
-        s.writeInMedia.push_back(slot->inMedia);
-    }
-    auto indicesOf = [](const auto &pool, const auto &free) {
-        std::vector<std::size_t> out;
-        out.reserve(free.size());
-        for (const auto *slot : free) {
-            std::size_t index = 0;
-            while (pool[index].get() != slot)
-                ++index;
-            out.push_back(index);
-        }
-        return out;
-    };
-    s.freeReads = indicesOf(readSlots, freeReadSlots);
-    s.freeWrites = indicesOf(writeSlots, freeWriteSlots);
-    snap.put(snapshotName(), std::move(s));
-}
-
-void
-MemController::restoreState(const SimSnapshot &snap)
-{
-    const Snapshot &s = snap.get<Snapshot>(snapshotName());
-    panicIf(s.readPkts.size() != readSlots.size() ||
-                s.writePkts.size() != writeSlots.size(),
-            "{}: slot pool changed size across a snapshot",
-            snapshotName());
-    banks = s.banks;
-    readsInFlight = s.readsInFlight;
-    writesInFlight = s.writesInFlight;
-    for (std::size_t i = 0; i < readSlots.size(); ++i)
-        readSlots[i]->pkt = s.readPkts[i];
-    for (std::size_t i = 0; i < writeSlots.size(); ++i) {
-        writeSlots[i]->pkt = s.writePkts[i];
-        writeSlots[i]->inMedia = s.writeInMedia[i];
-    }
-    freeReadSlots.clear();
-    for (std::size_t index : s.freeReads)
-        freeReadSlots.push_back(readSlots[index].get());
-    freeWriteSlots.clear();
-    for (std::size_t index : s.freeWrites)
-        freeWriteSlots.push_back(writeSlots[index].get());
+    panicIf(state.readSlots.size() != readEvents.size() ||
+                state.writeSlots.size() != writeEvents.size(),
+            "{}: slot pool changed size across a snapshot", fullName());
+    static_cast<MemControllerState &>(*this) = state;
 }
 
 } // namespace strand

@@ -22,7 +22,6 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <memory>
 #include <vector>
 
 #include "mem/packet.hh"
@@ -68,6 +67,40 @@ struct MemControllerParams
 MemControllerParams dramControllerParams();
 
 /**
+ * A controller's volatile state: the banks and the pooled in-flight
+ * request slots. MemController derives from it privately (DESIGN.md
+ * §6). Slots are named by index; each has one completion event,
+ * bound at construction, that stays outside this struct. Packets are
+ * immutable once submitted, so a copy shares them with the live run.
+ */
+struct MemControllerState
+{
+    struct Bank
+    {
+        Tick freeAt = 0;
+        Addr openRow = ~static_cast<Addr>(0);
+    };
+
+    /** Write slots step through ADR admission, then media program. */
+    struct WriteSlot
+    {
+        PacketPtr pkt;
+        bool inMedia = false;
+    };
+
+    std::vector<Bank> banks;
+    unsigned readsInFlight = 0;
+    unsigned writesInFlight = 0;
+
+    /** In-flight packet per read slot (null when free). */
+    std::vector<PacketPtr> readSlots;
+    std::vector<WriteSlot> writeSlots;
+    /** Free slot indices; the back is acquired next. */
+    std::vector<std::size_t> freeReadSlots;
+    std::vector<std::size_t> freeWriteSlots;
+};
+
+/**
  * A banked memory controller with bounded queues.
  *
  * Transactions arrive as Packet-kind port requests. Admission is
@@ -76,7 +109,9 @@ MemControllerParams dramControllerParams();
  * retries after the controller's retry callback fires. Completion is
  * delivered separately through the packet's own onResponse.
  */
-class MemController : public ClockedObject, public MemResponder
+class MemController : public ClockedObject,
+                      public MemResponder,
+                      private MemControllerState
 {
   public:
     /**
@@ -115,12 +150,17 @@ class MemController : public ClockedObject, public MemResponder
     }
 
     /**
-     * Capture / restore the banks and the pooled in-flight request
-     * slots (by stable slot index; completion timing lives in the
-     * event queue's own snapshot).
+     * Capture / restore the banks and the pooled request slots;
+     * completion timing lives in the event queue's own snapshot.
+     * Restore targets the machine the capture was taken from.
      */
-    void saveState(SimSnapshot &snap) const override;
-    void restoreState(const SimSnapshot &snap) override;
+    MemControllerState
+    saveState() const
+    {
+        return static_cast<const MemControllerState &>(*this);
+    }
+
+    void restoreState(const MemControllerState &state);
 
     /** @name Statistics @{ */
     stats::Scalar numReads;
@@ -132,56 +172,14 @@ class MemController : public ClockedObject, public MemResponder
     /** @} */
 
   private:
-    struct Bank
-    {
-        Tick freeAt = 0;
-        Addr openRow = ~static_cast<Addr>(0);
-    };
+    /** Pop the next free slot index off @p free. Admission bounds
+     * in-flight requests by the pool size, so one is always free. */
+    std::size_t acquireSlot(std::vector<std::size_t> &free);
 
-    /**
-     * Pooled in-flight request state. Each slot owns one Recurring
-     * completion event whose callback is built once, when the slot is
-     * first created, so steady-state request traffic schedules
-     * without allocating. The pools are bounded by the queue-entry
-     * limits enforced at admission.
-     */
-    struct ReadSlot
-    {
-        PacketPtr pkt;
-        EventQueue::Recurring ev;
-    };
-
-    /** Write slots step through ADR admission, then media program. */
-    struct WriteSlot
-    {
-        PacketPtr pkt;
-        bool inMedia = false;
-        EventQueue::Recurring ev;
-    };
-
-    /** Build one pooled slot with its completion event bound. */
-    ReadSlot *newReadSlot();
-    WriteSlot *newWriteSlot();
-
-    ReadSlot *acquireReadSlot();
-    WriteSlot *acquireWriteSlot();
-
-    /** Volatile machine state captured by saveState(). Packets are
-     * immutable once submitted, so the snapshot shares them with the
-     * live run. */
-    struct Snapshot
-    {
-        std::vector<Bank> banks;
-        unsigned readsInFlight = 0;
-        unsigned writesInFlight = 0;
-        /** Per-slot in-flight packet (null for free slots). */
-        std::vector<PacketPtr> readPkts;
-        std::vector<PacketPtr> writePkts;
-        std::vector<bool> writeInMedia;
-        /** Free lists as slot indices, preserving pop order. */
-        std::vector<std::size_t> freeReads;
-        std::vector<std::size_t> freeWrites;
-    };
+    /** Completion events: a read returns its data; a write steps
+     * from ADR admission to media program, then frees its slot. */
+    void completeRead(std::size_t slot);
+    void advanceWrite(std::size_t slot);
 
     Bank &bankFor(Addr addr);
 
@@ -198,15 +196,14 @@ class MemController : public ClockedObject, public MemResponder
     MemControllerParams params;
     bool persistent;
 
-    std::vector<Bank> banks;
-    unsigned readsInFlight = 0;
-    unsigned writesInFlight = 0;
-
-    /** unique_ptr keeps slot addresses stable (Recurring is pinned). */
-    std::vector<std::unique_ptr<ReadSlot>> readSlots;
-    std::vector<std::unique_ptr<WriteSlot>> writeSlots;
-    std::vector<ReadSlot *> freeReadSlots;
-    std::vector<WriteSlot *> freeWriteSlots;
+    /**
+     * One completion event per pooled slot, index for index. Each
+     * callback is built once, at construction, so steady-state
+     * request traffic schedules without allocating, and no recurring
+     * event is ever bound after a capture (DESIGN.md §6 rule 2).
+     */
+    std::vector<EventQueue::Recurring> readEvents;
+    std::vector<EventQueue::Recurring> writeEvents;
 
     std::vector<std::function<void()>> retryCallbacks;
     std::function<void(const Packet &, Tick)> persistObserver;

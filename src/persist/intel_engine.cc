@@ -215,23 +215,17 @@ IntelEngine::queueOccupancy() const
     return queue.size();
 }
 
-void
-IntelEngine::saveState(SimSnapshot &snap) const
+std::any
+IntelEngine::saveOwnState() const
 {
-    Snapshot s;
-    s.base = baseState();
-    s.queue = queue;
-    s.lastRetiredSeq = lastRetiredSeq;
-    snap.put(snapshotName(), s);
+    return static_cast<const IntelEngineState &>(*this);
 }
 
 void
-IntelEngine::restoreState(const SimSnapshot &snap)
+IntelEngine::restoreOwnState(const std::any &own)
 {
-    const Snapshot &s = snap.get<Snapshot>(snapshotName());
-    restoreBaseState(s.base);
-    queue = s.queue;
-    lastRetiredSeq = s.lastRetiredSeq;
+    static_cast<IntelEngineState &>(*this) =
+        std::any_cast<const IntelEngineState &>(own);
 }
 
 Hierarchy::Clearance

@@ -1,8 +1,8 @@
 /**
  * @file
  * Intel x86's persistency mechanisms: CLWB ordered by SFENCE
- * (§II-B), and the NON-ATOMIC upper bound (same hardware driven by a
- * fence-free instruction stream).
+ * (§II-B). Only the Intel x86 design runs on this engine; the other
+ * four, NON-ATOMIC included, run on StrandEngine (design.cc).
  *
  * Semantics modeled:
  *  - CLWBs between two SFENCEs may flush concurrently (epoch
@@ -44,9 +44,33 @@ struct IntelEngineParams
 };
 
 /**
+ * The Intel engine's volatile state: the CLWB/SFENCE queue. IntelEngine
+ * derives from it privately (DESIGN.md §6).
+ */
+struct IntelEngineState
+{
+    struct Entry
+    {
+        OpType type = OpType::Clwb;
+        Addr addr = 0;
+        SeqNum seq = 0;
+        SeqNum elderStoreSeq = 0;
+        bool issued = false;
+        bool completed = false;
+        Tick issuedAt = 0;
+        /** Adversarial hold on this entry's issue (fuzzing). */
+        Tick heldUntil = 0;
+    };
+
+    std::deque<Entry> queue;
+    /** Seq of the newest entry retired; monotonic. */
+    SeqNum lastRetiredSeq = 0;
+};
+
+/**
  * The baseline Intel x86 persist engine.
  */
-class IntelEngine : public PersistEngine
+class IntelEngine : public PersistEngine, private IntelEngineState
 {
   public:
     IntelEngine(std::string name, EventQueue &eq, CoreId core,
@@ -62,10 +86,6 @@ class IntelEngine : public PersistEngine
     std::size_t queueOccupancy() const override;
     Hierarchy::Clearance recordDrainPoint() override;
 
-    /** Capture / restore the CLWB/SFENCE queue. */
-    void saveState(SimSnapshot &snap) const override;
-    void restoreState(const SimSnapshot &snap) override;
-
     /** @name Statistics @{ */
     stats::Scalar clwbsDispatched;
     stats::Scalar sfencesDispatched;
@@ -74,26 +94,8 @@ class IntelEngine : public PersistEngine
     /** @} */
 
   private:
-    struct Entry
-    {
-        OpType type = OpType::Clwb;
-        Addr addr = 0;
-        SeqNum seq = 0;
-        SeqNum elderStoreSeq = 0;
-        bool issued = false;
-        bool completed = false;
-        Tick issuedAt = 0;
-        /** Adversarial hold on this entry's issue (fuzzing). */
-        Tick heldUntil = 0;
-    };
-
-    /** Volatile machine state captured by saveState(). */
-    struct Snapshot
-    {
-        BaseState base;
-        std::deque<Entry> queue;
-        SeqNum lastRetiredSeq = 0;
-    };
+    std::any saveOwnState() const override;
+    void restoreOwnState(const std::any &own) override;
 
     void issueEligible();
     void retire();
@@ -104,9 +106,6 @@ class IntelEngine : public PersistEngine
     IntelEngineParams params;
     /** Mailbox to the hierarchy; all CLWB flushes travel here. */
     MemPort port;
-    std::deque<Entry> queue;
-    /** Seq of the newest entry retired; monotonic. */
-    SeqNum lastRetiredSeq = 0;
 };
 
 } // namespace strand

@@ -8,18 +8,21 @@
  * cross-gating of §IV: persist barriers order prior stores before
  * subsequent CLWBs and prior CLWBs before subsequent stores).
  *
- * Five hardware designs from the paper's evaluation are implemented:
- *  - IntelX86Engine: CLWB + SFENCE epochs (also used, fence-free,
- *    for the NON-ATOMIC upper bound),
+ * Two engines implement the paper's five hardware designs
+ * (makePersistEngine() in design.hh picks one per design):
+ *  - IntelEngine: CLWB + SFENCE epochs, for Intel x86 only.
  *  - StrandEngine: the StrandWeaver persist queue + strand buffer
  *    unit; parameterized to also model NO-PERSIST-QUEUE (persist ops
  *    share the store queue) and HOPS (one persist buffer, delegated
- *    ofence, durable dfence).
+ *    ofence, durable dfence). NON-ATOMIC runs on the StrandWeaver
+ *    parameters; what makes it the upper bound is its lowering,
+ *    which drops the log/update pair ordering (§VI-A).
  */
 
 #ifndef PERSIST_PERSIST_ENGINE_HH
 #define PERSIST_PERSIST_ENGINE_HH
 
+#include <any>
 #include <functional>
 #include <vector>
 
@@ -50,8 +53,20 @@ struct StoreQueueView
     std::function<SeqNum()> oldestIncompleteStore;
 };
 
+/**
+ * The volatile state every persist engine shares: the progress
+ * counter the core polls, and the crash harness's completion-tick
+ * recording. PersistEngine derives from it privately (DESIGN.md §6).
+ */
+struct PersistEngineState
+{
+    std::uint64_t progress = 0;
+    bool recordCompletions = false;
+    std::vector<Tick> completions;
+};
+
 /** Abstract persist engine. */
-class PersistEngine : public SimObject
+class PersistEngine : public SimObject, private PersistEngineState
 {
   public:
     using SimObject::SimObject;
@@ -139,6 +154,33 @@ class PersistEngine : public SimObject
         return completions;
     }
 
+    /**
+     * A capture of one engine: the shared state plus the concrete
+     * engine's own state struct. The engine is the machine's one
+     * polymorphic component, so its own part is type-erased.
+     */
+    struct Snapshot
+    {
+        PersistEngineState base;
+        std::any own;
+    };
+
+    /** Capture / restore the engine. Restore targets the machine the
+     * capture was taken from. */
+    Snapshot
+    saveState() const
+    {
+        return {static_cast<const PersistEngineState &>(*this),
+                saveOwnState()};
+    }
+
+    void
+    restoreState(const Snapshot &snap)
+    {
+        static_cast<PersistEngineState &>(*this) = snap.base;
+        restoreOwnState(snap.own);
+    }
+
     /** Attach the system's observer hub; retirement events carry
      * @p core as their core id. */
     void
@@ -149,6 +191,10 @@ class PersistEngine : public SimObject
     }
 
   protected:
+    /** The concrete engine's part of saveState() / restoreState(). */
+    virtual std::any saveOwnState() const = 0;
+    virtual void restoreOwnState(const std::any &own) = 0;
+
     /** Publish a primitive-retired event (no-op without observers). */
     void
     emitRetired(PrimitiveKind kind, SeqNum seq, Addr lineAddr = 0,
@@ -182,41 +228,10 @@ class PersistEngine : public SimObject
             wake();
     }
 
-    /**
-     * Base-class engine state every concrete engine folds into its
-     * own snapshot: the progress counter the core polls, and the
-     * crash harness's completion-tick recording.
-     */
-    struct BaseState
-    {
-        std::uint64_t progress = 0;
-        bool recordCompletions = false;
-        std::vector<Tick> completions;
-    };
-
-    BaseState
-    baseState() const
-    {
-        return {progress, recordCompletions, completions};
-    }
-
-    void
-    restoreBaseState(const BaseState &s)
-    {
-        progress = s.progress;
-        recordCompletions = s.recordCompletions;
-        completions = s.completions;
-    }
-
     StoreQueueView sq;
     std::function<void()> wake;
-    std::uint64_t progress = 0;
     ObserverHub *obsHub = nullptr;
     CoreId obsCore = 0;
-
-  private:
-    bool recordCompletions = false;
-    std::vector<Tick> completions;
 };
 
 } // namespace strand

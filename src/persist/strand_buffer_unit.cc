@@ -19,10 +19,11 @@ StrandBufferUnit::StrandBufferUnit(std::string name, EventQueue &eq,
       strandsStarted(this, "strandsStarted", "NewStrand operations"),
       flushLatency(this, "flushLatency",
                    "CLWB issue-to-completion latency in ticks"),
-      core(core), params(params), buffers(params.numBuffers)
+      core(core), params(params)
 {
     fatalIf(params.numBuffers == 0 || params.entriesPerBuffer == 0,
             "strand buffer unit needs at least one buffer and entry");
+    buffers.resize(params.numBuffers);
     retryEvaluate = [this] { evaluate(); };
     port.init(eq, fullName() + ".port");
     port.bind(hier);
@@ -241,28 +242,11 @@ StrandBufferUnit::evaluate()
 }
 
 void
-StrandBufferUnit::saveState(SimSnapshot &snap) const
+StrandBufferUnit::restoreState(const StrandBufferUnitState &state)
 {
-    // Entries are plain descriptors (elder-store gating is a SeqNum
-    // resolved against elderCompleted at issue time), so a wholesale
-    // copy captures everything. In-flight flush requests/responses
-    // live in the hierarchy/event queue and are captured there; they
-    // find their entry again by the position in their token.
-    Snapshot s;
-    s.buffers = buffers;
-    s.ongoing = ongoing;
-    snap.put(snapshotName(), s);
-}
-
-void
-StrandBufferUnit::restoreState(const SimSnapshot &snap)
-{
-    const Snapshot &s = snap.get<Snapshot>(snapshotName());
-    panicIf(s.buffers.size() != buffers.size(),
-            "{}: restore with a different buffer count",
-            snapshotName());
-    buffers = s.buffers;
-    ongoing = s.ongoing;
+    panicIf(state.buffers.size() != buffers.size(),
+            "{}: restore with a different buffer count", fullName());
+    static_cast<StrandBufferUnitState &>(*this) = state;
 }
 
 } // namespace strand

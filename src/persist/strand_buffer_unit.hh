@@ -46,11 +46,16 @@ struct StrandBufferUnitParams
 };
 
 /**
- * The strand buffer unit for one core.
+ * The strand buffer unit's volatile state: the buffered entries and
+ * the ongoing-buffer index. StrandBufferUnit derives from it privately
+ * (DESIGN.md §6). Entries are plain descriptors (elder-store gating is
+ * a SeqNum resolved against the store queue at issue time), so a copy
+ * captures everything; in-flight flush requests and responses live in
+ * the event queue and find their entry again by the position in their
+ * token.
  */
-class StrandBufferUnit : public SimObject
+struct StrandBufferUnitState
 {
-  public:
     /** Entry kinds tracked inside a strand buffer. */
     enum class Kind : std::uint8_t
     {
@@ -58,6 +63,42 @@ class StrandBufferUnit : public SimObject
         Barrier,
     };
 
+    struct Entry
+    {
+        Kind kind = Kind::Clwb;
+        Addr addr = 0;
+        std::uint64_t id = 0;
+        bool hasIssued = false;
+        bool completed = false;
+        Tick issuedAt = 0;
+        /** Elder same-line store gating the flush (0 = none);
+         * resolved against elderCompleted at issue time. */
+        SeqNum elderStoreSeq = 0;
+        /** Monotonic position used by drain-point predicates. */
+        std::uint64_t position = 0;
+        /** Adversarial hold on this entry's issue (fuzzing). */
+        Tick heldUntil = 0;
+    };
+
+    struct Buffer
+    {
+        std::deque<Entry> entries;
+        /** Position of the most recently retired entry. */
+        std::uint64_t retiredUpTo = 0;
+        /** Position assigned to the next appended entry. */
+        std::uint64_t nextPosition = 1;
+    };
+
+    std::vector<Buffer> buffers;
+    unsigned ongoing = 0;
+};
+
+/**
+ * The strand buffer unit for one core.
+ */
+class StrandBufferUnit : public SimObject, private StrandBufferUnitState
+{
+  public:
     /**
      * @param core The owning core (used for cache requests).
      * @param hier The cache hierarchy used to perform flushes.
@@ -144,9 +185,15 @@ class StrandBufferUnit : public SimObject
     /** Issue any entries whose dependencies have resolved. */
     void evaluate();
 
-    /** Capture / restore buffered entries and the ongoing index. */
-    void saveState(SimSnapshot &snap) const override;
-    void restoreState(const SimSnapshot &snap) override;
+    /** Capture / restore the buffered entries and the ongoing index.
+     * Restore targets the machine the capture was taken from. */
+    StrandBufferUnitState
+    saveState() const
+    {
+        return static_cast<const StrandBufferUnitState &>(*this);
+    }
+
+    void restoreState(const StrandBufferUnitState &state);
 
     /** @name Statistics @{ */
     stats::Scalar clwbsIssued;
@@ -158,40 +205,6 @@ class StrandBufferUnit : public SimObject
     /** @} */
 
   private:
-    /** Plain data: snapshot/restore copies entries wholesale. */
-    struct Entry
-    {
-        Kind kind = Kind::Clwb;
-        Addr addr = 0;
-        std::uint64_t id = 0;
-        bool hasIssued = false;
-        bool completed = false;
-        Tick issuedAt = 0;
-        /** Elder same-line store gating the flush (0 = none);
-         * resolved against elderCompleted at issue time. */
-        SeqNum elderStoreSeq = 0;
-        /** Monotonic position used by drain-point predicates. */
-        std::uint64_t position = 0;
-        /** Adversarial hold on this entry's issue (fuzzing). */
-        Tick heldUntil = 0;
-    };
-
-    struct Buffer
-    {
-        std::deque<Entry> entries;
-        /** Position of the most recently retired entry. */
-        std::uint64_t retiredUpTo = 0;
-        /** Position assigned to the next appended entry. */
-        std::uint64_t nextPosition = 1;
-    };
-
-    /** Volatile machine state captured by saveState(). */
-    struct Snapshot
-    {
-        std::vector<Buffer> buffers;
-        unsigned ongoing = 0;
-    };
-
     void issueFrom(Buffer &buffer);
     void retireCompleted(Buffer &buffer);
     /** Route one flush response. The token encodes the entry's home:
@@ -202,8 +215,6 @@ class StrandBufferUnit : public SimObject
     StrandBufferUnitParams params;
     /** Mailbox to the hierarchy; all flushes travel here. */
     MemPort port;
-    std::vector<Buffer> buffers;
-    unsigned ongoing = 0;
     std::function<void(std::uint64_t, bool)> completionCallback;
     std::function<void(std::uint64_t)> startedCallback;
     std::function<bool(SeqNum)> elderCompleted;

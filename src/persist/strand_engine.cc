@@ -403,27 +403,19 @@ StrandEngine::sharesStoreQueue() const
     return params.sharedStoreQueue;
 }
 
-void
-StrandEngine::saveState(SimSnapshot &snap) const
+std::any
+StrandEngine::saveOwnState() const
 {
-    Snapshot s;
-    s.base = baseState();
-    s.queue = queue;
-    s.issueBudget = issueBudget;
-    s.usedPort = usedPort;
-    snap.put(snapshotName(), s);
-    sbu.saveState(snap);
+    return OwnState{static_cast<const StrandEngineState &>(*this),
+                    sbu.saveState()};
 }
 
 void
-StrandEngine::restoreState(const SimSnapshot &snap)
+StrandEngine::restoreOwnState(const std::any &own)
 {
-    const Snapshot &s = snap.get<Snapshot>(snapshotName());
-    restoreBaseState(s.base);
-    queue = s.queue;
-    issueBudget = s.issueBudget;
-    usedPort = s.usedPort;
-    sbu.restoreState(snap);
+    const auto &[engine, units] = std::any_cast<const OwnState &>(own);
+    static_cast<StrandEngineState &>(*this) = engine;
+    sbu.restoreState(units);
 }
 
 Hierarchy::Clearance

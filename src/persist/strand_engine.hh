@@ -23,6 +23,7 @@
 #define PERSIST_STRAND_ENGINE_HH
 
 #include <deque>
+#include <utility>
 
 #include "persist/persist_engine.hh"
 #include "persist/strand_buffer_unit.hh"
@@ -76,9 +77,36 @@ StrandEngineParams noPersistQueueParams();
 StrandEngineParams hopsParams();
 
 /**
+ * The strand engine's volatile state: the persist queue and the
+ * shared-queue issue port. StrandEngine derives from it privately
+ * (DESIGN.md §6); its strand buffer unit captures itself.
+ */
+struct StrandEngineState
+{
+    struct Entry
+    {
+        OpType type = OpType::Clwb;
+        Addr addr = 0;
+        SeqNum seq = 0;
+        SeqNum elderStoreSeq = 0;
+        bool issued = false;
+        /** CLWB has performed its cache read (flush started). */
+        bool flushStarted = false;
+        bool completed = false;
+        /** Adversarial hold on this entry's issue (fuzzing). */
+        Tick heldUntil = 0;
+    };
+
+    std::deque<Entry> queue;
+    /** Shared-queue designs: issues left this cycle (one drain port). */
+    unsigned issueBudget = ~0u;
+    bool usedPort = false;
+};
+
+/**
  * Persist engine built from a persist queue and strand buffer unit.
  */
-class StrandEngine : public PersistEngine
+class StrandEngine : public PersistEngine, private StrandEngineState
 {
   public:
     StrandEngine(std::string name, EventQueue &eq, CoreId core,
@@ -98,10 +126,6 @@ class StrandEngine : public PersistEngine
     SeqNum oldestIncompleteSeq() const override;
     Hierarchy::Clearance recordDrainPoint() override;
 
-    /** Capture / restore the persist queue and the buffer unit. */
-    void saveState(SimSnapshot &snap) const override;
-    void restoreState(const SimSnapshot &snap) override;
-
     /** The strand buffer unit (exposed for tests and stats). */
     StrandBufferUnit &bufferUnit() { return sbu; }
 
@@ -114,28 +138,11 @@ class StrandEngine : public PersistEngine
     /** @} */
 
   private:
-    struct Entry
-    {
-        OpType type = OpType::Clwb;
-        Addr addr = 0;
-        SeqNum seq = 0;
-        SeqNum elderStoreSeq = 0;
-        bool issued = false;
-        /** CLWB has performed its cache read (flush started). */
-        bool flushStarted = false;
-        bool completed = false;
-        /** Adversarial hold on this entry's issue (fuzzing). */
-        Tick heldUntil = 0;
-    };
+    /** The engine's own state and its buffer unit's. */
+    using OwnState = std::pair<StrandEngineState, StrandBufferUnitState>;
 
-    /** Volatile machine state captured by saveState(). */
-    struct Snapshot
-    {
-        BaseState base;
-        std::deque<Entry> queue;
-        unsigned issueBudget = ~0u;
-        bool usedPort = false;
-    };
+    std::any saveOwnState() const override;
+    void restoreOwnState(const std::any &own) override;
 
     /** True when the head entry's issue preconditions hold. */
     bool headMayIssue(const Entry &entry) const;
@@ -151,10 +158,6 @@ class StrandEngine : public PersistEngine
     CoreId core;
     StrandEngineParams params;
     StrandBufferUnit sbu;
-    std::deque<Entry> queue;
-    /** Shared-queue designs: issues left this cycle (one drain port). */
-    unsigned issueBudget = ~0u;
-    bool usedPort = false;
     /** Prebuilt adversary-hold retry; built once, borrowed per query. */
     EventQueue::Callback retryEvaluate;
 };

@@ -13,21 +13,14 @@
 #include <string>
 
 #include "sim/event_queue.hh"
-#include "sim/snapshot.hh"
 #include "sim/stats.hh"
 #include "sim/types.hh"
 
 namespace strand
 {
 
-/**
- * A named simulation component. Every SimObject is Snapshotable so
- * forked crash exploration can capture/restore whole component
- * trees; the defaults here panic with the instance name, keeping the
- * fail-loudly contract while pointing at the component that has not
- * audited its state yet.
- */
-class SimObject : public stats::StatGroup, public Snapshotable
+/** A named simulation component. */
+class SimObject : public stats::StatGroup
 {
   public:
     /**
@@ -43,17 +36,6 @@ class SimObject : public stats::StatGroup, public Snapshotable
 
     EventQueue &eventQueue() { return eq; }
     Tick curTick() const { return eq.curTick(); }
-
-    /**
-     * Snapshot diagnostics carry the full dotted instance name, so
-     * the Snapshotable default panics point at the exact component
-     * that has not audited its state yet.
-     */
-    std::string
-    snapshotName() const override
-    {
-        return fullName();
-    }
 
   protected:
     EventQueue &eq;

@@ -94,19 +94,20 @@ TEST(WritebackBuffer, DrainPassesCapturedData)
 
 TEST(WritebackBuffer, SnapshotEntriesRoundTrip)
 {
+    // A copy is the hierarchy's snapshot of the buffer.
     WritebackBuffer buf(4);
     bool clear = false;
     buf.push(0x100, lineAt(0x100, 7), [&] { return clear; });
     buf.push(0x200, lineAt(0x200, 9), {});
-    std::deque<WritebackBuffer::Entry> entries =
-        buf.snapshotEntries();
+    const WritebackBuffer capture = buf;
 
     // Drain past the capture (clearance satisfied), then rewind.
     clear = true;
     auto fn = [](Addr, const LineData &) {};
     EXPECT_EQ(buf.drain(fn), 2u);
     EXPECT_TRUE(buf.empty());
-    buf.restoreEntries(std::move(entries));
+    EXPECT_EQ(capture.size(), 2u);
+    buf = capture;
 
     EXPECT_EQ(buf.size(), 2u);
     EXPECT_TRUE(buf.contains(0x100));
@@ -126,13 +127,18 @@ TEST(WritebackBuffer, SnapshotEntriesRoundTrip)
 
 TEST(WritebackBuffer, RestoreRejectsOverCapacity)
 {
+    // Restoring is assignment, and capacity is fixed at construction:
+    // a copy from a buffer of another capacity (another machine's)
+    // is rejected even when its entries would fit.
     WritebackBuffer big(4);
     big.push(0x100, lineAt(0x100, 1), {});
     big.push(0x200, lineAt(0x200, 2), {});
     big.push(0x300, lineAt(0x300, 3), {});
     WritebackBuffer small(2);
-    EXPECT_THROW(small.restoreEntries(big.snapshotEntries()),
-                 std::logic_error);
+    EXPECT_THROW(small = big, std::logic_error);
+    big = WritebackBuffer(4);
+    EXPECT_THROW(small = big, std::logic_error);
+    EXPECT_TRUE(small.empty());
 }
 
 TEST(WritebackBuffer, ZeroCapacityPanics)
