@@ -1,14 +1,19 @@
 /**
  * @file
  * Simulator-throughput microbench: how fast the *host* executes the
- * simulation, independent of what the simulation computes. Three
- * fixed-seed sections cover the kernel hot paths this repo leans on:
+ * simulation, independent of what the simulation computes. Fixed-seed
+ * sections cover the kernel hot paths this repo leans on:
  *
- *   event_churn     64 self-rescheduling one-shot chains plus a
- *                   cancel-heavy wake pattern — the shape of
- *                   Core::tick interleaved with wake() churn.
+ *   event_churn     64 self-rescheduling one-shot chains, each fire
+ *                   also scheduling a one-shot wake — the shape of
+ *                   Core's compute and lock delays.
  *   recurring_churn the same chains on the EventQueue::Recurring
- *                   fast path (one pooled record re-armed in place).
+ *                   fast path (one pooled record re-armed in place),
+ *                   each fire re-arming its wake only when the wake
+ *                   is idle, as Core::wake does.
+ *   cache_lookup    CacheArray::findLine on a full Table I L1 (32 KiB,
+ *                   2-way), probing every line round-robin; fatals
+ *                   unless every probe hits.
  *   image_clone     MemoryImage::clonePersisted / clonePersistedTorn,
  *                   the crash- and fuzz-harness inner loop.
  *   fork_setup      the forked crash harness's per-campaign setup: one
@@ -40,7 +45,7 @@
  * Everything is seeded and sized by constants, so the *work* is
  * identical run to run; only the wall-clock varies. Results land in
  * <SW_OUT_DIR>/BENCH_simperf.json for trajectory tooling; compare
- * against bench/baseline/simperf_seed.json (the pre-pooling kernel)
+ * against bench/baseline/simperf_seed.json, recorded on a 4-vCPU host,
  * for speedups.
  */
 
@@ -56,6 +61,7 @@
 #include <vector>
 
 #include "bench/bench_util.hh"
+#include "cache/cache_array.hh"
 #include "core/experiment.hh"
 #include "core/env_config.hh"
 #include "core/observer_util.hh"
@@ -90,24 +96,21 @@ constexpr unsigned churnChains = 64;
 constexpr std::uint64_t churnFires = 4'000'000;
 
 /**
- * The one-shot churn pattern: every fire cancels the chain's pending
- * wake, schedules a fresh one, and reschedules itself — exercising
- * allocation, cancellation, and carcass compaction at once.
+ * The one-shot churn pattern: every fire schedules a one-shot wake
+ * and reschedules itself, so each fire allocates two records from the
+ * pool and every wake fires.
  */
 Section
 runEventChurn()
 {
     EventQueue eq;
     std::uint64_t fires = 0;
-    std::vector<EventQueue::Handle> wakes(churnChains);
     std::vector<std::function<void()>> tickFns(churnChains);
     auto t0 = std::chrono::steady_clock::now();
     for (unsigned c = 0; c < churnChains; ++c) {
-        tickFns[c] = [&eq, &fires, &wakes, &tickFns, c] {
+        tickFns[c] = [&eq, &fires, &tickFns, c] {
             ++fires;
-            eq.deschedule(wakes[c]);
-            wakes[c] =
-                eq.scheduleIn(700, [] {}, EventPriority::Default);
+            eq.scheduleIn(700, [] {}, EventPriority::Default);
             if (fires < churnFires)
                 eq.scheduleIn(500, tickFns[c],
                               EventPriority::CpuTick);
@@ -118,16 +121,14 @@ runEventChurn()
     Section s{"event_churn", eq.serviced(), msSince(t0), 0};
     s.unitsPerSec = 1e3 * static_cast<double>(s.units) / s.wallMs;
     std::printf("event_churn:     events=%llu wall_ms=%.1f "
-                "events_per_sec=%.3g (arena %zu records, "
-                "%llu compactions)\n",
+                "events_per_sec=%.3g (arena %zu records)\n",
                 static_cast<unsigned long long>(s.units), s.wallMs,
-                s.unitsPerSec, eq.arenaRecords(),
-                static_cast<unsigned long long>(eq.compactions()));
+                s.unitsPerSec, eq.arenaRecords());
     return s;
 }
 
-/** The same chains on the Recurring fast path: zero allocation and
- * zero cancellation in steady state. */
+/** The same chains on the Recurring fast path: zero allocation in
+ * steady state. */
 Section
 runRecurringChurn()
 {
@@ -140,11 +141,10 @@ runRecurringChurn()
         wakes[c].init(eq, [] {}, EventPriority::Default);
         ticks[c].init(eq, [&eq, &fires, &ticks, &wakes, c] {
             ++fires;
-            if (wakes[c].scheduled())
-                wakes[c].deschedule();
-            wakes[c].scheduleIn(700);
+            if (!wakes[c].scheduled())
+                wakes[c].scheduleIn(700);
             if (fires < churnFires)
-                ticks[c].reschedule(500);
+                ticks[c].scheduleIn(500);
         }, EventPriority::CpuTick);
         ticks[c].schedule(c);
     }
@@ -155,6 +155,37 @@ runRecurringChurn()
                 "events_per_sec=%.3g (arena %zu records)\n",
                 static_cast<unsigned long long>(s.units), s.wallMs,
                 s.unitsPerSec, eq.arenaRecords());
+    return s;
+}
+
+/**
+ * The tag-array probe on its hit path: a Table I L1 (32 KiB, 2-way)
+ * holding every line of a 32 KiB range, probed line by line
+ * round-robin through the mutable findLine() a hierarchy hit uses.
+ */
+Section
+runCacheLookup()
+{
+    constexpr std::uint64_t bytes = 32 * 1024;
+    constexpr std::uint64_t rounds = 40'000;
+    CacheArray array(bytes, 2);
+    for (Addr line = 0; line < bytes; line += lineBytes)
+        array.install(array.victimFor(line), line,
+                      CoherenceState::Shared);
+    const std::uint64_t probes = rounds * (bytes / lineBytes);
+    std::uint64_t hits = 0;
+    auto t0 = std::chrono::steady_clock::now();
+    for (std::uint64_t r = 0; r < rounds; ++r)
+        for (Addr line = 0; line < bytes; line += lineBytes)
+            hits += array.findLine(line) != nullptr;
+    Section s{"cache_lookup", probes, msSince(t0), 0};
+    fatalIf(hits != probes, "cache_lookup: {} of {} probes hit", hits,
+            probes);
+    s.unitsPerSec = 1e3 * static_cast<double>(s.units) / s.wallMs;
+    std::printf("cache_lookup:    probes=%llu wall_ms=%.1f "
+                "probes_per_sec=%.3g\n",
+                static_cast<unsigned long long>(s.units), s.wallMs,
+                s.unitsPerSec);
     return s;
 }
 
@@ -453,6 +484,7 @@ main(int argc, char **argv)
     std::vector<Section> sections;
     sections.push_back(runEventChurn());
     sections.push_back(runRecurringChurn());
+    sections.push_back(runCacheLookup());
     sections.push_back(runImageClone());
     sections.push_back(runForkSetup());
     sections.push_back(runFig7Cell());

@@ -148,6 +148,7 @@ executeCell(const SweepCell &cell, CellResult &result)
         crashCfg.tornWords = cell.tornWords;
         crashCfg.media = cell.media;
         crashCfg.experiment = cell.config;
+        crashCfg.pmosan = cell.config.pmosan;
         crashCfg.fork = cell.crashFork;
         crashCfg.verifyMidrunFork = cell.crashVerifyMidrunFork;
         result.crash = runCrashCell(*cell.recorded, cell.design,

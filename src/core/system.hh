@@ -97,7 +97,6 @@ class System : public stats::StatGroup, private SystemRunState
     MemoryImage &memory() { return image; }
     EventQueue &eventQueue() { return eq; }
     Hierarchy &hierarchy() { return *caches; }
-    MemController &pmController() { return *pmCtrl; }
     Core &core(CoreId id) { return *cores.at(id); }
     unsigned numCores() const { return cores.size(); }
     const SystemConfig &config() const { return cfg; }
@@ -135,9 +134,6 @@ class System : public stats::StatGroup, private SystemRunState
 
     /** Detach a previously attached observer. */
     void removeObserver(PersistObserver *obs) { hub.remove(obs); }
-
-    /** The event fan-out point (producers publish through this). */
-    ObserverHub &observerHub() { return hub; }
 
     /** Simulate a failure: freeze PM, discard volatile state. */
     void crash() { image.crash(); }

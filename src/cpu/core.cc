@@ -551,7 +551,7 @@ Core::tick()
                       engine->progressCount() != engineBefore ||
                       workDone != workBefore;
     if (progressed) {
-        tickEvent.reschedule(clockPeriod());
+        tickEvent.scheduleIn(clockPeriod());
         return;
     }
 

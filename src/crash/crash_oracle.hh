@@ -84,12 +84,6 @@ class CrashOracle
                    const std::vector<bool> &committed,
                    const RecoveryReport *report = nullptr) const;
 
-    /** Regions known to the oracle (globalSeq order). */
-    std::size_t numRegions() const { return regions.size(); }
-
-    /** Logged addresses subject to value checks. */
-    std::size_t numCheckedAddrs() const { return writes.size(); }
-
   private:
     /** One logged store, attributed to its region. */
     struct WriteRec

@@ -139,8 +139,6 @@ class MemController : public ClockedObject,
         return readsInFlight == 0 && writesInFlight == 0;
     }
 
-    bool isPersistent() const { return persistent; }
-
     /** Observer hook fired at each persist (ADR admission). */
     void
     setPersistObserver(

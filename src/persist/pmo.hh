@@ -93,9 +93,6 @@ class PmoModel
         return !orderedBefore(a, b) && !orderedBefore(b, a);
     }
 
-    /** Number of persists in the program. */
-    std::size_t numPersists() const { return ids.size(); }
-
     /** A violation found while checking an observed trace. */
     struct Violation
     {

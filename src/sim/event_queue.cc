@@ -1,7 +1,6 @@
 #include "sim/event_queue.hh"
 
 #include <algorithm>
-#include <unordered_map>
 
 namespace strand
 {
@@ -35,30 +34,9 @@ EventQueue::armRecord(Record *rec, Tick when)
     rec->state = State::Scheduled;
     heap.push_back({when, rec->priority, rec->seq, rec});
     std::push_heap(heap.begin(), heap.end(), Later{});
-    ++liveEvents;
 }
 
 void
-EventQueue::maybeCompact()
-{
-    std::size_t carcasses =
-        heap.size() - static_cast<std::size_t>(liveEvents);
-    if (carcasses <= 64 ||
-        carcasses <= static_cast<std::size_t>(liveEvents)) {
-        return;
-    }
-    heap.erase(std::remove_if(heap.begin(), heap.end(),
-                              [](const HeapEntry &entry) {
-                                  return !live(entry);
-                              }),
-               heap.end());
-    // The comparator is a strict total order (seq is unique), so
-    // rebuilding the heap cannot change the pop sequence.
-    std::make_heap(heap.begin(), heap.end(), Later{});
-    ++compactionRuns;
-}
-
-EventQueue::Handle
 EventQueue::schedule(Tick when, Callback cb, EventPriority prio)
 {
     panicIf(when < now,
@@ -69,63 +47,34 @@ EventQueue::schedule(Tick when, Callback cb, EventPriority prio)
     rec->priority = static_cast<int>(prio);
     rec->callback = std::move(cb);
     armRecord(rec, when);
-    return Handle(rec, rec->seq);
-}
-
-void
-EventQueue::deschedule(Handle &handle)
-{
-    if (!handle.scheduled())
-        return;
-    // Handles are only issued for one-shots (Recurring cancels via
-    // its own deschedule), so the record goes straight back to the
-    // pool; its heap entry stays behind as a carcass.
-    releaseRecord(handle.record);
-    --liveEvents;
-    maybeCompact();
-}
-
-Tick
-EventQueue::nextLiveTick()
-{
-    while (!heap.empty() && !live(heap.front())) {
-        std::pop_heap(heap.begin(), heap.end(), Later{});
-        heap.pop_back();
-    }
-    return heap.empty() ? maxTick : heap.front().when;
 }
 
 bool
 EventQueue::serviceOne()
 {
-    while (!heap.empty()) {
-        HeapEntry top = heap.front();
-        std::pop_heap(heap.begin(), heap.end(), Later{});
-        heap.pop_back();
-        if (!live(top))
-            continue;
+    if (heap.empty())
+        return false;
+    const HeapEntry top = heap.front();
+    std::pop_heap(heap.begin(), heap.end(), Later{});
+    heap.pop_back();
+    panicIf(top.when < now, "event queue went backwards");
+    now = top.when;
+    ++servicedEvents;
 
-        panicIf(top.when < now, "event queue went backwards");
-        now = top.when;
-        --liveEvents;
-        ++servicedEvents;
-
-        Record *rec = top.rec;
-        if (rec->recurring) {
-            // Park the record so the callback can re-arm it.
-            rec->state = State::Idle;
-            rec->callback();
-        } else {
-            // Release before invoking: the callback has been moved
-            // out, so the record is immediately reusable by anything
-            // the callback schedules.
-            Callback cb = std::move(rec->callback);
-            releaseRecord(rec);
-            cb();
-        }
-        return true;
+    Record *rec = top.rec;
+    if (rec->recurring) {
+        // Park the record so the callback can re-arm it.
+        rec->state = State::Idle;
+        rec->callback();
+    } else {
+        // Release before invoking: the callback has been moved out,
+        // so the record is immediately reusable by anything the
+        // callback schedules.
+        Callback cb = std::move(rec->callback);
+        releaseRecord(rec);
+        cb();
     }
-    return false;
+    return true;
 }
 
 void
@@ -138,17 +87,8 @@ EventQueue::run()
 void
 EventQueue::runUntil(Tick limit)
 {
-    while (!heap.empty()) {
-        // Skip cancelled carcasses without advancing time.
-        if (!live(heap.front())) {
-            std::pop_heap(heap.begin(), heap.end(), Later{});
-            heap.pop_back();
-            continue;
-        }
-        if (heap.front().when > limit)
-            break;
+    while (!heap.empty() && heap.front().when <= limit)
         serviceOne();
-    }
     if (now < limit)
         now = limit;
 }
@@ -159,16 +99,10 @@ EventQueue::snapshot() const
     Snapshot snap;
     snap.now = now;
     snap.nextSeq = nextSeq;
-    snap.liveEvents = liveEvents;
     snap.servicedEvents = servicedEvents;
-    snap.compactionRuns = compactionRuns;
 
     snap.records.reserve(arena.size());
-    std::unordered_map<const Record *, std::size_t> indexOf;
-    indexOf.reserve(arena.size());
-    std::size_t index = 0;
     for (const Record &rec : arena) {
-        indexOf.emplace(&rec, index++);
         Snapshot::RecordState state;
         state.when = rec.when;
         state.priority = rec.priority;
@@ -183,9 +117,6 @@ EventQueue::snapshot() const
             state.callback = rec.callback;
         snap.records.push_back(std::move(state));
     }
-    snap.freeList.reserve(freeList.size());
-    for (const Record *rec : freeList)
-        snap.freeList.push_back(indexOf.at(rec));
     return snap;
 }
 
@@ -194,67 +125,60 @@ EventQueue::restore(const Snapshot &snap)
 {
     panicIf(arena.size() < snap.records.size(),
             "event queue arena shrank across a snapshot");
-    std::vector<Record *> byIndex;
-    byIndex.reserve(arena.size());
-    for (Record &rec : arena)
-        byIndex.push_back(&rec);
-
     now = snap.now;
     nextSeq = snap.nextSeq;
-    liveEvents = snap.liveEvents;
     servicedEvents = snap.servicedEvents;
-    compactionRuns = snap.compactionRuns;
 
     heap.clear();
-    for (std::size_t i = 0; i < snap.records.size(); ++i) {
-        const Snapshot::RecordState &state = snap.records[i];
-        Record &rec = *byIndex[i];
-        // A record whose Recurring owner was created or destroyed
-        // after the capture cannot be rewound: the callback lives in
-        // (or died with) the owner. Restore only into the component
-        // graph the snapshot was taken from.
-        panicIf(rec.recurring != state.recurring,
-                "cannot restore: record {} changed recurring "
-                "ownership across the snapshot", i);
-        rec.when = state.when;
-        rec.priority = state.priority;
-        rec.seq = state.seq;
-        rec.state = static_cast<State>(state.state);
-        if (!state.recurring)
-            rec.callback = state.callback;
+    freeList.clear();
+    std::size_t i = 0;
+    for (Record &rec : arena) {
+        if (i < snap.records.size()) {
+            const Snapshot::RecordState &state = snap.records[i];
+            // A record whose Recurring owner was created or destroyed
+            // after the capture cannot be rewound: the callback lives
+            // in (or died with) the owner. Restore only into the
+            // component graph the snapshot was taken from.
+            panicIf(rec.recurring != state.recurring,
+                    "cannot restore: record {} changed recurring "
+                    "ownership across the snapshot", i);
+            rec.when = state.when;
+            rec.priority = state.priority;
+            rec.seq = state.seq;
+            rec.state = static_cast<State>(state.state);
+            if (!state.recurring)
+                rec.callback = state.callback;
+        } else {
+            // Allocated after the capture, so unknown to it: recycle.
+            panicIf(rec.recurring,
+                    "cannot restore: a recurring event was bound after "
+                    "the snapshot");
+            rec.state = State::Free;
+            rec.callback = nullptr;
+        }
         if (rec.state == State::Scheduled)
             heap.push_back({rec.when, rec.priority, rec.seq, &rec});
+        else if (rec.state == State::Free)
+            freeList.push_back(&rec);
+        ++i;
     }
-    freeList.clear();
-    for (std::size_t index : snap.freeList)
-        freeList.push_back(byIndex[index]);
-    // Records allocated after the capture are unknown to the
-    // snapshot: recycle them. They join the free list after the
-    // captured entries, which only changes which pooled record a
-    // future schedule() reuses — dispatch order is keyed on (when,
-    // priority, seq), never on record identity.
-    for (std::size_t i = snap.records.size(); i < byIndex.size();
-         ++i) {
-        Record &rec = *byIndex[i];
-        panicIf(rec.recurring,
-                "cannot restore: a recurring event was bound after "
-                "the snapshot");
-        rec.state = State::Free;
-        rec.callback = nullptr;
-        freeList.push_back(&rec);
-    }
-    // The comparator is a strict total order (seq is unique), so the
-    // rebuilt heap pops in exactly the captured dispatch order.
     std::make_heap(heap.begin(), heap.end(), Later{});
-    panicIf(heap.size() != static_cast<std::size_t>(liveEvents),
-            "snapshot live-event count does not match its records");
 }
 
 EventQueue::Recurring::~Recurring()
 {
     if (!owner)
         return;
-    deschedule();
+    if (scheduled()) {
+        // Torn down while armed (a machine destroyed mid-run): drop
+        // the pending firing so every heap entry stays live.
+        std::vector<HeapEntry> &heap = owner->heap;
+        heap.erase(std::find_if(heap.begin(), heap.end(),
+                                [this](const HeapEntry &entry) {
+                                    return entry.rec == rec;
+                                }));
+        std::make_heap(heap.begin(), heap.end(), Later{});
+    }
     owner->releaseRecord(rec);
 }
 
@@ -268,7 +192,7 @@ EventQueue::Recurring::init(EventQueue &eq, Callback cb,
     rec = eq.allocRecord();
     rec->priority = static_cast<int>(prio);
     rec->recurring = true;
-    rec->state = Handle::State::Idle;
+    rec->state = State::Idle;
     rec->callback = std::move(cb);
 }
 
@@ -276,7 +200,7 @@ void
 EventQueue::Recurring::schedule(Tick when)
 {
     panicIf(!owner, "recurring event scheduled before init");
-    panicIf(rec->state == Handle::State::Scheduled,
+    panicIf(rec->state == State::Scheduled,
             "recurring event scheduled while already pending");
     panicIf(when < owner->now,
             "event scheduled in the past: when={} now={}", when,
@@ -291,20 +215,10 @@ EventQueue::Recurring::scheduleIn(Tick delta)
     schedule(owner->now + delta);
 }
 
-void
-EventQueue::Recurring::deschedule()
-{
-    if (!scheduled())
-        return;
-    rec->state = Handle::State::Idle;
-    --owner->liveEvents;
-    owner->maybeCompact();
-}
-
 bool
 EventQueue::Recurring::scheduled() const
 {
-    return rec && rec->state == Handle::State::Scheduled;
+    return rec && rec->state == State::Scheduled;
 }
 
 } // namespace strand

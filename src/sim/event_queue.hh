@@ -4,19 +4,17 @@
  *
  * The event queue dispatches callbacks in (tick, priority, insertion
  * order) order, so simulations are fully deterministic for a given
- * seed and schedule. Events are scheduled by value and may be
- * descheduled through the handle returned by schedule().
+ * seed and schedule. The kernel has no cancellation: a scheduled event
+ * fires unless it is an armed Recurring destroyed first, which takes
+ * its heap entry with it, so every heap entry is live.
  *
  * Performance model: event records live in a free-list arena owned by
  * the queue, so the steady state of a simulation — cores rescheduling
  * their tick every cycle, memory controllers completing requests —
  * allocates nothing per event. The dispatch heap stores (tick,
- * priority, seq) keys by value; a record's current seq is the source
- * of truth, so cancelled or superseded heap entries are recognized as
- * carcasses when popped and lazy compaction bounds how many carcasses
- * a cancel-heavy workload (e.g. the fuzz adversary's holds) can
- * accumulate. Because the comparator is a total order (seq is
- * unique), compaction never changes dispatch order.
+ * priority, seq) keys by value; seq is unique, so the comparator is a
+ * strict total order and any rebuild of the heap pops in the same
+ * sequence.
  *
  * Components with a permanent periodic callback should use Recurring:
  * one record, allocated at init() and reused for every firing, with
@@ -58,64 +56,10 @@ enum class EventPriority : int
  */
 class EventQueue
 {
+    struct Record;
+
   public:
     using Callback = std::function<void()>;
-
-    class Recurring;
-
-    /** Handle used to deschedule a pending one-shot event. */
-    class Handle
-    {
-      public:
-        Handle() = default;
-
-        /** @return true if this handle refers to a scheduled event. */
-        bool
-        scheduled() const
-        {
-            return record && record->state == State::Scheduled &&
-                   record->seq == seq;
-        }
-
-      private:
-        friend class EventQueue;
-        friend class Recurring;
-
-        enum class State : std::uint8_t
-        {
-            /** On the free list (or never allocated). */
-            Free,
-            /** Live in the heap, will fire unless descheduled. */
-            Scheduled,
-            /** Allocated (recurring) but not currently armed. */
-            Idle,
-        };
-
-        struct Record
-        {
-            Tick when = 0;
-            int priority = 0;
-            std::uint64_t seq = 0;
-            State state = State::Free;
-            /** Owned by a Recurring; survives firing, callback kept. */
-            bool recurring = false;
-            Callback callback;
-        };
-
-        Handle(Record *record, std::uint64_t seq)
-            : record(record), seq(seq)
-        {
-        }
-
-        Record *record = nullptr;
-        /**
-         * The seq this handle was issued for. Records are recycled,
-         * so a handle is valid only while the record still carries
-         * its seq; a stale handle compares unequal and reads as
-         * not-scheduled.
-         */
-        std::uint64_t seq = 0;
-    };
 
     /**
      * A first-class recurring event: one reusable record that can be
@@ -126,9 +70,10 @@ class EventQueue
      * never copied or moved afterwards.
      *
      * At most one firing may be pending at a time; schedule() panics
-     * if the event is already armed. The owning object must not
-     * outlive the EventQueue, and the callback must not destroy the
-     * Recurring it runs on.
+     * if the event is already armed. Destroying an armed Recurring
+     * removes its pending firing (a machine torn down mid-run). The
+     * owning object must not outlive the EventQueue, and the callback
+     * must not destroy the Recurring it runs on.
      */
     class Recurring
     {
@@ -146,24 +91,11 @@ class EventQueue
         void init(EventQueue &eq, Callback cb,
                   EventPriority prio = EventPriority::Default);
 
-        /** @return true once init() has run. */
-        bool initialized() const { return owner != nullptr; }
-
         /** Arm at an absolute tick. Panics if already armed. */
         void schedule(Tick when);
 
         /** Arm @p delta ticks in the future. */
         void scheduleIn(Tick delta);
-
-        /**
-         * Re-arm @p delta ticks ahead, in place. Identical to
-         * scheduleIn(); the name documents call sites inside the
-         * event's own callback.
-         */
-        void reschedule(Tick delta) { scheduleIn(delta); }
-
-        /** Cancel the pending firing, if any. */
-        void deschedule();
 
         /** @return true while a firing is pending. */
         bool scheduled() const;
@@ -173,7 +105,7 @@ class EventQueue
 
       private:
         EventQueue *owner = nullptr;
-        Handle::Record *rec = nullptr;
+        Record *rec = nullptr;
     };
 
     EventQueue() = default;
@@ -190,43 +122,36 @@ class EventQueue
      * @param when Absolute tick; must not be in the past.
      * @param cb Callback invoked when the event fires.
      * @param prio Same-tick ordering class.
-     * @return Handle that can cancel the event before it fires.
      */
-    Handle schedule(Tick when, Callback cb,
-                    EventPriority prio = EventPriority::Default);
+    void schedule(Tick when, Callback cb,
+                  EventPriority prio = EventPriority::Default);
 
     /** Schedule a callback @p delta ticks in the future. */
-    Handle
+    void
     scheduleIn(Tick delta, Callback cb,
                EventPriority prio = EventPriority::Default)
     {
-        return schedule(now + delta, std::move(cb), prio);
+        schedule(now + delta, std::move(cb), prio);
     }
 
-    /**
-     * Cancel a pending event. Cancelling an already-fired or
-     * already-cancelled event is a no-op. The record is returned to
-     * the arena immediately; only its heap entry lingers as a carcass
-     * until popped or compacted.
-     */
-    void deschedule(Handle &handle);
-
-    /** @return true if no live events remain. */
-    bool empty() const { return liveEvents == 0; }
+    /** @return true if no events remain. */
+    bool empty() const { return heap.empty(); }
 
     /** @return the number of scheduled, not-yet-fired events. */
-    std::uint64_t pending() const { return liveEvents; }
+    std::uint64_t pending() const { return heap.size(); }
 
     /** @return total events serviced since construction. */
     std::uint64_t serviced() const { return servicedEvents; }
 
     /**
-     * The tick of the earliest live event, or maxTick when none is
-     * pending. Prunes cancelled carcasses off the heap top exactly as
-     * serviceOne() would; dispatch order is unaffected. Lets a
-     * driver step the queue one live tick at a time.
+     * The tick of the earliest pending event, or maxTick when none
+     * is. Lets a caller step the queue one tick at a time.
      */
-    Tick nextLiveTick();
+    Tick
+    nextLiveTick() const
+    {
+        return heap.empty() ? maxTick : heap.front().when;
+    }
 
     /**
      * Service the single next event.
@@ -247,14 +172,14 @@ class EventQueue
     /** @name Snapshot support (forked crash exploration) @{ */
 
     /**
-     * A point-in-time capture of the queue: the clock and counters,
-     * every arena record's dispatch key and state, and the free-list
-     * order. One-shot callbacks are captured by copy; recurring
-     * records stay owned by their live Recurring objects, whose
-     * callbacks are constructed once and never move — so a restore
-     * is only valid against the SAME component graph the capture was
-     * taken from (restore() panics when a record's recurring
-     * ownership changed across the capture).
+     * A point-in-time capture of the queue: the clock and counters
+     * and every arena record's dispatch key and state. One-shot
+     * callbacks are captured by copy; recurring records stay owned by
+     * their live Recurring objects, whose callbacks are constructed
+     * once and never move — so a restore is only valid against the
+     * SAME component graph the capture was taken from (restore()
+     * panics when a record's recurring ownership changed across the
+     * capture).
      */
     struct Snapshot
     {
@@ -263,7 +188,7 @@ class EventQueue
             Tick when = 0;
             int priority = 0;
             std::uint64_t seq = 0;
-            /** Handle::State, stored raw (the enum is private). */
+            /** EventQueue::State, stored raw (the enum is private). */
             std::uint8_t state = 0;
             bool recurring = false;
             /** Copied for scheduled one-shots; empty otherwise. */
@@ -272,29 +197,27 @@ class EventQueue
 
         Tick now = 0;
         std::uint64_t nextSeq = 0;
-        std::uint64_t liveEvents = 0;
         std::uint64_t servicedEvents = 0;
-        std::uint64_t compactionRuns = 0;
         /** One entry per arena record, in allocation order. */
         std::vector<RecordState> records;
-        /** Free list as arena indices, preserving pop order. */
-        std::vector<std::size_t> freeList;
     };
 
     /** Capture the queue. The queue itself is not perturbed. */
     Snapshot snapshot() const;
 
     /**
-     * Rewind the queue to @p snap. Records allocated after the
-     * capture are recycled onto the free list; the dispatch heap is
-     * rebuilt from the restored records (the comparator is a strict
-     * total order, so the pop sequence is exactly the captured one).
+     * Rewind the queue to @p snap. The dispatch heap and the free
+     * list are rebuilt from the restored records, and records
+     * allocated after the capture join the free list. Dispatch is
+     * keyed on (when, priority, seq), never on which pooled record a
+     * later schedule() reuses, so the pop sequence is exactly the
+     * captured one.
      */
     void restore(const Snapshot &snap);
 
     /** @} */
 
-    /** @name Arena and heap observability (tests, simperf) @{ */
+    /** @name Arena observability (tests, simperf) @{ */
 
     /** Records ever allocated; stable once the pool has warmed up. */
     std::size_t arenaRecords() const { return arena.size(); }
@@ -302,33 +225,31 @@ class EventQueue
     /** Records currently on the free list. */
     std::size_t freeRecords() const { return freeList.size(); }
 
-    /**
-     * Heap entries whose event was descheduled or superseded and
-     * that have not been popped or compacted yet.
-     */
-    std::size_t
-    cancelledPending() const
-    {
-        return heap.size() - static_cast<std::size_t>(liveEvents);
-    }
-
-    /** Total heap entries, live plus carcasses. */
-    std::size_t heapEntries() const { return heap.size(); }
-
-    /** Lazy compaction sweeps performed so far. */
-    std::uint64_t compactions() const { return compactionRuns; }
-
     /** @} */
 
   private:
-    using Record = Handle::Record;
-    using State = Handle::State;
+    enum class State : std::uint8_t
+    {
+        /** On the free list. */
+        Free,
+        /** In the heap; will fire. */
+        Scheduled,
+        /** Allocated (recurring) but not currently armed. */
+        Idle,
+    };
 
-    /**
-     * Dispatch key, copied out of the record at arm time. The record
-     * holds the authoritative (seq, state); an entry whose key no
-     * longer matches is a carcass and never fires.
-     */
+    struct Record
+    {
+        Tick when = 0;
+        int priority = 0;
+        std::uint64_t seq = 0;
+        State state = State::Free;
+        /** Owned by a Recurring; survives firing, callback kept. */
+        bool recurring = false;
+        Callback callback;
+    };
+
+    /** Dispatch key, copied out of the record at arm time. */
     struct HeapEntry
     {
         Tick when = 0;
@@ -351,21 +272,10 @@ class EventQueue
         }
     };
 
-    static bool
-    live(const HeapEntry &entry)
-    {
-        return entry.rec->state == State::Scheduled &&
-               entry.rec->seq == entry.seq;
-    }
-
     Record *allocRecord();
     void releaseRecord(Record *rec);
     /** Push @p rec's current key; common tail of every arm path. */
     void armRecord(Record *rec, Tick when);
-    /** Drop carcass entries once they outnumber the live ones. */
-    void maybeCompact();
-
-    friend class Recurring;
 
     std::vector<HeapEntry> heap;
     /** Arena: deque for pointer stability; records are never freed. */
@@ -374,9 +284,7 @@ class EventQueue
 
     Tick now = 0;
     std::uint64_t nextSeq = 0;
-    std::uint64_t liveEvents = 0;
     std::uint64_t servicedEvents = 0;
-    std::uint64_t compactionRuns = 0;
 };
 
 } // namespace strand

@@ -133,6 +133,42 @@ TEST(Sweep, CrashCellsRunThroughTheSamePool)
     EXPECT_EQ(result.cells.at(1).tornWords, 1u);
 }
 
+TEST(Sweep, CrashCellsHonourConfigPmosan)
+{
+    // NON-ATOMIC breaks the program's persist order, so a crash cell
+    // with PMO-san attached gains one failing point for the
+    // sanitizer's report on top of the injected ones; a cell with
+    // the sanitizer off does not. Both settings are explicit, so the
+    // outcome does not depend on SW_PMOSAN.
+    WorkloadParams params;
+    params.numThreads = 2;
+    params.opsPerThread = 20;
+    auto recorded = recordShared(WorkloadKind::Queue, params);
+    SweepSpec spec;
+    spec.name = "crash_pmosan";
+    for (bool pmosan : {true, false}) {
+        SweepCell &cell = spec.addCrash(recorded, HwDesign::NonAtomic,
+                                        PersistencyModel::Txn, 8);
+        cell.variant = pmosan ? "pmosan" : "plain";
+        cell.config.pmosan = pmosan;
+    }
+    SweepResult result = runSweep(spec);
+    ASSERT_TRUE(result.allOk()) << result.failedKeys().front();
+
+    const CrashCellResult &on = result.cells.at(0).crash;
+    ASSERT_GT(on.pointsInjected, 0u);
+    EXPECT_EQ(on.pointsTested, on.pointsInjected + 1);
+    bool reported = false;
+    for (const CrashPointResult &point : on.failures)
+        reported |= point.violation.starts_with("PMO-san:");
+    EXPECT_TRUE(reported);
+
+    const CrashCellResult &off = result.cells.at(1).crash;
+    EXPECT_EQ(off.pointsTested, off.pointsInjected);
+    for (const CrashPointResult &point : off.failures)
+        EXPECT_FALSE(point.violation.starts_with("PMO-san:"));
+}
+
 TEST(Sweep, PanickingCellReportsItsLabelWithoutWedgingThePool)
 {
     auto recorded = smallWorkload();

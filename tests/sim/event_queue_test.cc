@@ -1,11 +1,13 @@
 /**
  * @file
  * Unit tests for the discrete-event kernel: ordering, priorities,
- * cancellation, and time-limited execution.
+ * time-limited execution, the pooled record arena, Recurring events,
+ * and snapshot/restore.
  */
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <utility>
 #include <vector>
 
@@ -60,32 +62,6 @@ TEST(EventQueue, ScheduleInIsRelativeToNow)
     });
     eq.run();
     EXPECT_EQ(seen, 125u);
-}
-
-TEST(EventQueue, DescheduleCancelsEvent)
-{
-    EventQueue eq;
-    bool fired = false;
-    auto handle = eq.schedule(10, [&] { fired = true; });
-    EXPECT_TRUE(handle.scheduled());
-    eq.deschedule(handle);
-    EXPECT_FALSE(handle.scheduled());
-    eq.run();
-    EXPECT_FALSE(fired);
-    EXPECT_TRUE(eq.empty());
-}
-
-TEST(EventQueue, DescheduleIsIdempotent)
-{
-    EventQueue eq;
-    int count = 0;
-    auto keep = eq.schedule(10, [&] { ++count; });
-    auto cancel = eq.schedule(20, [&] { ++count; });
-    eq.deschedule(cancel);
-    eq.deschedule(cancel);
-    eq.run();
-    EXPECT_EQ(count, 1);
-    EXPECT_FALSE(keep.scheduled());
 }
 
 TEST(EventQueue, EventsScheduledFromCallbacksRun)
@@ -170,7 +146,7 @@ TEST(EventQueue, RecurringMatchesOneShotOrdering)
             ev.init(eq, [&] {
                 order.push_back(0);
                 if (++fires < 5)
-                    ev.reschedule(100);
+                    ev.scheduleIn(100);
             }, EventPriority::CpuTick);
             ev.schedule(0);
         } else {
@@ -188,26 +164,6 @@ TEST(EventQueue, RecurringMatchesOneShotOrdering)
     EXPECT_EQ(runPattern(true), runPattern(false));
 }
 
-TEST(EventQueue, RecurringDescheduleAndRearm)
-{
-    EventQueue eq;
-    int fires = 0;
-    EventQueue::Recurring ev;
-    ev.init(eq, [&] { ++fires; });
-    ev.schedule(100);
-    EXPECT_TRUE(ev.scheduled());
-    EXPECT_EQ(ev.when(), 100u);
-    ev.deschedule();
-    EXPECT_FALSE(ev.scheduled());
-    eq.run();
-    EXPECT_EQ(fires, 0);
-    // The same record re-arms after cancellation.
-    ev.schedule(200);
-    eq.run();
-    EXPECT_EQ(fires, 1);
-    EXPECT_FALSE(ev.scheduled());
-}
-
 TEST(EventQueue, SchedulingRecurringWhilePendingPanics)
 {
     EventQueue eq;
@@ -215,7 +171,36 @@ TEST(EventQueue, SchedulingRecurringWhilePendingPanics)
     ev.init(eq, [] {});
     ev.schedule(10);
     EXPECT_THROW(ev.schedule(20), std::logic_error);
-    ev.deschedule();
+}
+
+TEST(EventQueue, DestroyingArmedRecurringDropsItsFiring)
+{
+    // A machine torn down mid-run destroys its Recurrings while they
+    // are armed: the pending firing leaves with its owner, and the
+    // record goes back to the pool.
+    EventQueue eq;
+    std::vector<int> order;
+    for (int i : {3, 0, 5, 1, 4, 2})
+        eq.schedule(100 * (i + 1), [&order, i] { order.push_back(i); });
+    auto ev = std::make_unique<EventQueue::Recurring>();
+    ev->init(eq, [&order] { order.push_back(-1); });
+    ev->schedule(250);
+    ASSERT_TRUE(eq.serviceOne());
+    ASSERT_TRUE(ev->scheduled());
+    const std::uint64_t pending = eq.pending();
+    const std::size_t arena = eq.arenaRecords();
+    const std::size_t free = eq.freeRecords();
+
+    ev.reset();
+    EXPECT_EQ(eq.pending(), pending - 1);
+    EXPECT_EQ(eq.freeRecords(), free + 1);
+
+    eq.schedule(eq.curTick() + 50, [&order] { order.push_back(9); });
+    EXPECT_EQ(eq.arenaRecords(), arena);
+    EXPECT_EQ(eq.freeRecords(), free);
+    ASSERT_TRUE(eq.serviceOne());
+    eq.run();
+    EXPECT_EQ(order, (std::vector<int>{0, 9, 1, 2, 3, 4, 5}));
 }
 
 TEST(EventQueue, PoolReusesRecordsAcrossDrainAndRefill)
@@ -245,7 +230,7 @@ TEST(EventQueue, RecurringSteadyStateAllocatesNoRecords)
     int fires = 0;
     ev.init(eq, [&] {
         if (++fires < 10000)
-            ev.reschedule(500);
+            ev.scheduleIn(500);
     }, EventPriority::CpuTick);
     ev.schedule(0);
     // Warm-up: let the pool reach steady state.
@@ -255,30 +240,6 @@ TEST(EventQueue, RecurringSteadyStateAllocatesNoRecords)
     eq.run();
     EXPECT_EQ(fires, 10000);
     EXPECT_EQ(eq.arenaRecords(), arena);
-}
-
-TEST(EventQueue, CancelledCarcassesAreCompactedAndBounded)
-{
-    EventQueue eq;
-    std::vector<EventQueue::Handle> handles;
-    // Far-future events cancelled in bulk: the heap must not retain
-    // an unbounded carcass population.
-    for (int round = 0; round < 8; ++round) {
-        handles.clear();
-        for (int i = 0; i < 256; ++i)
-            handles.push_back(eq.schedule(1000000 + i, [] {}));
-        for (auto &handle : handles)
-            eq.deschedule(handle);
-    }
-    EXPECT_GT(eq.compactions(), 0u);
-    // Lazy compaction bound: carcasses may linger only while they
-    // are outnumbered by live events (plus the 64-entry floor).
-    EXPECT_LE(eq.cancelledPending(), 64u);
-    EXPECT_LE(eq.heapEntries(), 64u);
-    bool fired = false;
-    eq.schedule(2000000, [&] { fired = true; });
-    eq.run();
-    EXPECT_TRUE(fired);
 }
 
 TEST(EventQueue, SnapshotRestoreReplaysIdenticalDrain)
@@ -333,7 +294,7 @@ TEST(EventQueue, SnapshotRestoreRewindsRecurringEvents)
     ev.init(eq, [&] {
         ++fires;
         if (eq.curTick() < 700)
-            ev.reschedule(100);
+            ev.scheduleIn(100);
     }, EventPriority::CpuTick);
     ev.schedule(0);
     for (int i = 0; i < 3; ++i)
