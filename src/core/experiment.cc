@@ -46,6 +46,7 @@ runExperiment(const RecordedWorkload &recorded, HwDesign design,
     sysCfg.numCores = static_cast<unsigned>(streams.size());
     sysCfg.design = design;
     sysCfg.engine = config.engine;
+    sysCfg.layout = ip.layout;
     System sys(sysCfg);
     sys.seedImage(recorded.preload);
     sys.loadStreams(std::move(streams));

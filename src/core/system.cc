@@ -47,11 +47,8 @@ System::System(const SystemConfig &config)
             "cpu" + std::to_string(i), eq, i, *caches,
             std::move(engine), locks, cfg.core, this));
         cores.back()->setObserverHub(&hub);
-        cores.back()->setFinishedCallback([this, i] {
-            coreFinish[i] = eq.curTick();
-            if (eq.curTick() > lastFinish)
-                lastFinish = eq.curTick();
-        });
+        cores.back()->setFinishedCallback(
+            [this, i] { coreFinish[i] = eq.curTick(); });
     }
 }
 
@@ -125,7 +122,7 @@ System::run()
     panicIf(!finishedAll(),
             "event queue drained but cores have not finished "
             "(deadlocked ordering constraint?)");
-    return lastFinish;
+    return finishTick();
 }
 
 bool

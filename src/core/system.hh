@@ -12,6 +12,7 @@
 #ifndef CORE_SYSTEM_HH
 #define CORE_SYSTEM_HH
 
+#include <algorithm>
 #include <functional>
 #include <memory>
 #include <unordered_map>
@@ -60,8 +61,8 @@ struct SystemConfig
 struct SystemRunState
 {
     std::vector<PersistRecord> persists;
+    /** Per core, the tick it finished at (0 while it runs). */
     std::vector<Tick> coreFinish;
-    Tick lastFinish = 0;
     bool streamsLoaded = false;
     bool coresStarted = false;
 };
@@ -169,7 +170,7 @@ class System : public stats::StatGroup, private SystemRunState
     std::uint64_t eventsServiced() const { return eq.serviced(); }
 
     /** The tick at which the last core finished. */
-    Tick finishTick() const { return lastFinish; }
+    Tick finishTick() const { return std::ranges::max(coreFinish); }
 
     /** The tick at which core @p id finished (0 if still running). */
     Tick

@@ -1,5 +1,7 @@
 #include "cpu/core.hh"
 
+#include <algorithm>
+
 namespace strand
 {
 
@@ -36,21 +38,21 @@ Core::Core(std::string name, EventQueue &eq, CoreId id, Hierarchy &hier,
 
     StoreQueueView view;
     view.completed = [this](SeqNum seq) {
-        return !incompleteStores.contains(seq);
+        const SqEntry *entry = findStore(seq);
+        return !entry || entry->completed;
     };
     view.issued = [this](SeqNum seq) {
-        return !unissuedStores.contains(seq);
+        const SqEntry *entry = findStore(seq);
+        return !entry || entry->issued;
     };
     view.allCompletedBefore = [this](SeqNum seq) {
-        return incompleteStores.empty() ||
-               *incompleteStores.begin() >= seq;
+        return oldestStoreWithout(&SqEntry::completed) >= seq;
     };
     view.allIssuedBefore = [this](SeqNum seq) {
-        return unissuedStores.empty() || *unissuedStores.begin() >= seq;
+        return oldestStoreWithout(&SqEntry::issued) >= seq;
     };
     view.oldestIncompleteStore = [this] {
-        return incompleteStores.empty() ? ~static_cast<SeqNum>(0)
-                                        : *incompleteStores.begin();
+        return oldestStoreWithout(&SqEntry::completed);
     };
     this->engine->setStoreView(std::move(view));
 
@@ -105,14 +107,12 @@ Core::onMemResponse(const MemResponse &resp)
         switch (resp.kind) {
           case MemResponseKind::Ack:
             // Admitted: the next store may go into the mail.
-            storeDecisionPending = false;
             for (SqEntry &e : storeQueue) {
                 if (e.seq == seq) {
                     e.issued = true;
                     break;
                 }
             }
-            unissuedStores.erase(seq);
             ++storesIssued;
             ++workDone;
             wake();
@@ -120,7 +120,6 @@ Core::onMemResponse(const MemResponse &resp)
           case MemResponseKind::Nack:
             // No MSHR was free: the entry returns to the unsent pool
             // and is remailed once the core ticks again.
-            storeDecisionPending = false;
             for (SqEntry &e : storeQueue) {
                 if (e.seq == seq) {
                     e.sent = false;
@@ -136,7 +135,6 @@ Core::onMemResponse(const MemResponse &resp)
                     break;
                 }
             }
-            incompleteStores.erase(seq);
             drainStoreQueue();
             ++workDone;
             wake();
@@ -197,6 +195,20 @@ Core::elderStoreTo(Addr addr) const
             youngest = entry.seq;
     }
     return youngest;
+}
+
+const CoreState::SqEntry *
+Core::findStore(SeqNum seq) const
+{
+    auto it = std::ranges::lower_bound(storeQueue, seq, {}, &SqEntry::seq);
+    return it != storeQueue.end() && it->seq == seq ? &*it : nullptr;
+}
+
+SeqNum
+Core::oldestStoreWithout(bool SqEntry::*flag) const
+{
+    auto it = std::ranges::find(storeQueue, false, flag);
+    return it != storeQueue.end() ? it->seq : ~static_cast<SeqNum>(0);
 }
 
 void
@@ -291,8 +303,6 @@ Core::dispatchOne(const Op &op)
         SeqNum seq = nextSeq++;
         rob.push_back({seq, true}); // retires into the SQ
         storeQueue.push_back({seq, op.addr, op.value, false, false});
-        unissuedStores.insert(seq);
-        incompleteStores.insert(seq);
         notifyDispatch(op, seq);
         return true;
       }
@@ -414,28 +424,22 @@ Core::issueStores()
     // drain, so a cycle that issued a persist op issues no store.
     if (engine->portBusy())
         return;
-    // Admission is asynchronous now: while an elder store's Ack/Nack
-    // is outstanding no younger store may go into the mail, or a
-    // Nacked elder could be overtaken and acceptance would leave
-    // program order.
-    if (storeDecisionPending)
+    // Only the oldest store not yet accepted may go into the mail.
+    // Admission is asynchronous: while its Ack/Nack is outstanding
+    // (it is sent) no younger store may follow, or a Nacked elder
+    // could be overtaken and acceptance would leave program order.
+    auto entry = std::ranges::find(storeQueue, false, &SqEntry::issued);
+    if (entry == storeQueue.end() || entry->sent ||
+        !engine->storeMayIssue(entry->seq))
         return;
-    for (SqEntry &entry : storeQueue) {
-        if (entry.sent || entry.issued)
-            continue;
-        if (!engine->storeMayIssue(entry.seq))
-            return;
-        entry.sent = true;
-        storeDecisionPending = true;
-        MemRequest req;
-        req.kind = MemRequestKind::Store;
-        req.core = coreId;
-        req.addr = entry.addr;
-        req.value = entry.value;
-        req.token = entry.seq;
-        port.send(std::move(req));
-        return;
-    }
+    entry->sent = true;
+    MemRequest req;
+    req.kind = MemRequestKind::Store;
+    req.core = coreId;
+    req.addr = entry->addr;
+    req.value = entry->value;
+    req.token = entry->seq;
+    port.send(std::move(req));
 }
 
 void
@@ -480,8 +484,8 @@ Core::serviceReleases()
 {
     while (!pendingReleases.empty()) {
         const PendingRelease &head = pendingReleases.front();
-        bool storesVisible = incompleteStores.empty() ||
-                             *incompleteStores.begin() >= head.seq;
+        bool storesVisible =
+            oldestStoreWithout(&SqEntry::completed) >= head.seq;
         if (!storesVisible || !engine->storeMayIssue(head.seq))
             return;
         locks.release(head.lockId);

@@ -22,7 +22,6 @@
 
 #include <deque>
 #include <memory>
-#include <set>
 
 #include "cache/hierarchy.hh"
 #include "cpu/lock_table.hh"
@@ -109,24 +108,18 @@ struct CoreState
         SeqNum seq;
     };
 
-    /**
-     * A store request is in the mail and its Ack/Nack has not come
-     * back. At most one store awaits its admission decision at a
-     * time, so acceptance stays in program order (a Nacked elder
-     * store can never be overtaken by a younger one).
-     */
-    bool storeDecisionPending = false;
-
     std::size_t pc = 0;
     SeqNum nextSeq = 1;
 
     std::deque<RobEntry> rob;
+    /**
+     * In seq order. Stores are accepted one at a time and in order,
+     * so the issued entries form a prefix, and an entry leaves only
+     * once it has completed: a seq absent from the queue is a store
+     * that has both issued and completed.
+     */
     std::deque<SqEntry> storeQueue;
     std::deque<LqEntry> loadQueue;
-
-    /** Seqs of stores dispatched but not yet issued / completed. */
-    std::set<SeqNum> unissuedStores;
-    std::set<SeqNum> incompleteStores;
 
     std::deque<PendingRelease> pendingReleases;
 
@@ -231,6 +224,14 @@ class Core : public ClockedObject, private CoreState
     /** @return seq of the youngest incomplete elder store to the
      * same line, or 0. */
     SeqNum elderStoreTo(Addr addr) const;
+
+    /** @return the queued store with dispatch seq @p seq, or null if
+     * it has left the queue (or was never a store). */
+    const SqEntry *findStore(SeqNum seq) const;
+
+    /** @return seq of the oldest queued store whose @p flag (issued or
+     * completed) is still clear, or the maximum seq if there is none. */
+    SeqNum oldestStoreWithout(bool SqEntry::*flag) const;
 
     /** Attempt to dispatch the op at the stream head.
      * @return true on success; sets stallReason otherwise. */

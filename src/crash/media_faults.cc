@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "fuzz/fuzz_trial.hh" // mixSeed
 #include "sim/random.hh"
 
 namespace strand

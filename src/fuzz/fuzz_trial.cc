@@ -13,17 +13,6 @@
 namespace strand
 {
 
-std::uint64_t
-mixSeed(std::uint64_t seed, std::uint64_t stream)
-{
-    // SplitMix64 of (seed + stream * golden gamma): the standard way
-    // to fan one master seed out into independent streams.
-    std::uint64_t z = seed + stream * 0x9e3779b97f4a7c15ULL;
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-    return z ^ (z >> 31);
-}
-
 FuzzTrialContext
 makeTrialContext(const FuzzTrialSpec &spec)
 {

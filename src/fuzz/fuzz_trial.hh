@@ -158,9 +158,6 @@ struct FuzzTrialResult
     std::uint64_t simOps = 0;
 };
 
-/** SplitMix64 — derives independent sub-seeds from a master seed. */
-std::uint64_t mixSeed(std::uint64_t seed, std::uint64_t stream);
-
 /** Record the workload and derive sub-seeds (once per trial). */
 FuzzTrialContext makeTrialContext(const FuzzTrialSpec &spec);
 

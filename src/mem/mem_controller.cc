@@ -98,12 +98,12 @@ MemController::handleRequest(MemPort &port, const MemRequest &req)
     switch (pkt->cmd) {
       case MemCmd::Read:
       case MemCmd::ReadExclusive:
-        accepted = readsInFlight < params.readQueueEntries;
+        accepted = !freeReadSlots.empty();
         if (accepted)
             handleRead(pkt);
         break;
       case MemCmd::Write:
-        accepted = writesInFlight < params.writeQueueEntries;
+        accepted = !freeWriteSlots.empty();
         if (accepted)
             handleWrite(pkt);
         break;
@@ -135,7 +135,6 @@ MemController::completeRead(std::size_t slot)
     // the callback can reuse it.
     PacketPtr pkt = std::move(readSlots[slot]);
     freeReadSlots.push_back(slot);
-    --readsInFlight;
     if (pkt->onResponse)
         pkt->onResponse();
     notifyRetry();
@@ -149,7 +148,6 @@ MemController::advanceWrite(std::size_t slot)
         write.pkt.reset();
         write.inMedia = false;
         freeWriteSlots.push_back(slot);
-        --writesInFlight;
         notifyRetry();
         return;
     }
@@ -177,7 +175,6 @@ MemController::advanceWrite(std::size_t slot)
 void
 MemController::handleRead(const PacketPtr &pkt)
 {
-    ++readsInFlight;
     ++numReads;
     Tick issued = curTick();
     Tick done = serviceOnBank(pkt->addr, issued, params.readLatency,
@@ -193,7 +190,6 @@ MemController::handleRead(const PacketPtr &pkt)
 void
 MemController::handleWrite(const PacketPtr &pkt)
 {
-    ++writesInFlight;
     ++numWrites;
     // ADR admission: transit to the controller, then the write is in
     // the persist domain. The ack back to the flushing unit is sent

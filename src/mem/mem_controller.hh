@@ -70,8 +70,10 @@ MemControllerParams dramControllerParams();
  * A controller's volatile state: the banks and the pooled in-flight
  * request slots. MemController derives from it privately (DESIGN.md
  * §6). Slots are named by index; each has one completion event,
- * bound at construction, that stays outside this struct. Packets are
- * immutable once submitted, so a copy shares them with the live run.
+ * bound at construction, that stays outside this struct. Each pool
+ * holds exactly its queue's entry limit, so a request is in flight
+ * exactly while it holds a slot. Packets are immutable once
+ * submitted, so a copy shares them with the live run.
  */
 struct MemControllerState
 {
@@ -89,8 +91,6 @@ struct MemControllerState
     };
 
     std::vector<Bank> banks;
-    unsigned readsInFlight = 0;
-    unsigned writesInFlight = 0;
 
     /** In-flight packet per read slot (null when free). */
     std::vector<PacketPtr> readSlots;
@@ -136,7 +136,8 @@ class MemController : public ClockedObject,
     bool
     idle() const
     {
-        return readsInFlight == 0 && writesInFlight == 0;
+        return freeReadSlots.size() == readSlots.size() &&
+               freeWriteSlots.size() == writeSlots.size();
     }
 
     /** Observer hook fired at each persist (ADR admission). */

@@ -190,10 +190,8 @@ IntelEngine::issueEligible()
 void
 IntelEngine::retire()
 {
-    while (!queue.empty() && queue.front().completed) {
-        lastRetiredSeq = queue.front().seq;
+    while (!queue.empty() && queue.front().completed)
         queue.pop_front();
-    }
 }
 
 void
@@ -233,9 +231,12 @@ IntelEngine::recordDrainPoint()
 {
     if (queue.empty())
         return {};
+    // Entries retire from the head in seq order, so the point has
+    // cleared once everything up to the captured tail has left.
     SeqNum tail = queue.back().seq;
-    return [this, tail] { return lastRetiredSeq >= tail || queue.empty() ||
-                                 queue.front().seq > tail; };
+    return [this, tail] {
+        return queue.empty() || queue.front().seq > tail;
+    };
 }
 
 } // namespace strand

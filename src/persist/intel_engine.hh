@@ -62,9 +62,8 @@ struct IntelEngineState
         Tick heldUntil = 0;
     };
 
+    /** In seq order; entries retire from the head. */
     std::deque<Entry> queue;
-    /** Seq of the newest entry retired; monotonic. */
-    SeqNum lastRetiredSeq = 0;
 };
 
 /**

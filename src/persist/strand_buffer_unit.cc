@@ -151,7 +151,9 @@ StrandBufferUnit::recordDrainPoint()
 {
     // Capture the tail position of every buffer. The predicate holds
     // once each buffer has retired everything up to its captured
-    // tail. Empty buffers contribute no constraint.
+    // tail, that is, once it is empty or its head lies past the tail
+    // (entries retire from the head in position order). Empty buffers
+    // contribute no constraint: positions start at 1.
     std::vector<std::uint64_t> tails(buffers.size(), 0);
     bool anyPending = false;
     for (std::size_t i = 0; i < buffers.size(); ++i) {
@@ -163,9 +165,11 @@ StrandBufferUnit::recordDrainPoint()
     if (!anyPending)
         return {};
     return [this, tails = std::move(tails)] {
-        for (std::size_t i = 0; i < buffers.size(); ++i)
-            if (buffers[i].retiredUpTo < tails[i])
+        for (std::size_t i = 0; i < buffers.size(); ++i) {
+            const std::deque<Entry> &entries = buffers[i].entries;
+            if (!entries.empty() && entries.front().position <= tails[i])
                 return false;
+        }
         return true;
     };
 }
@@ -227,7 +231,6 @@ StrandBufferUnit::retireCompleted(Buffer &buffer)
         } else if (!head.completed) {
             break;
         }
-        buffer.retiredUpTo = head.position;
         buffer.entries.pop_front();
     }
 }

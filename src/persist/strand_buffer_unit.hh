@@ -82,9 +82,8 @@ struct StrandBufferUnitState
 
     struct Buffer
     {
+        /** In position order; entries retire from the head. */
         std::deque<Entry> entries;
-        /** Position of the most recently retired entry. */
-        std::uint64_t retiredUpTo = 0;
         /** Position assigned to the next appended entry. */
         std::uint64_t nextPosition = 1;
     };

@@ -1,6 +1,6 @@
 #include "persist/strand_engine.hh"
 
-#include <vector>
+#include <ranges>
 
 #include "fuzz/adversary.hh"
 
@@ -78,13 +78,12 @@ StrandEngine::beginCycle()
     // The shared store queue has a single drain port: at most one
     // entry (store or persist op) leaves per cycle.
     issueBudget = params.sharedStoreQueue ? 1 : ~0u;
-    usedPort = false;
 }
 
 bool
 StrandEngine::portBusy() const
 {
-    return params.sharedStoreQueue && usedPort;
+    return params.sharedStoreQueue && issueBudget == 0;
 }
 
 void
@@ -130,40 +129,18 @@ StrandEngine::dispatch(const Op &op, SeqNum seq, SeqNum elderStoreSeq)
 bool
 StrandEngine::storeMayIssue(SeqNum seq) const
 {
-    // For each older CLWB, note whether a persist barrier separates
-    // it from this store *within the same strand*: such a CLWB must
+    // One youngest-first pass over the entries older than the store.
+    // barrierSince says whether a persist barrier of the same strand
+    // lies between the entry at hand and the store: such a CLWB must
     // have performed its cache read before the store may drain (else
     // the flush could capture post-barrier data). A NewStrand clears
-    // the constraint (Eq. 1), so barriers do not gate stores of
-    // later strands.
-    std::vector<bool> barrierBetween(queue.size(), false);
-    {
-        bool seen = false;
-        for (std::size_t i = queue.size(); i-- > 0;) {
-            if (queue[i].seq >= seq)
-                continue;
-            barrierBetween[i] = seen;
-            if (queue[i].type == OpType::PersistBarrier)
-                seen = true;
-            else if ((params.epochInterlock ||
-                      params.strictAdmission) &&
-                     queue[i].type == OpType::Ofence)
-                // The delegated ofence normally orders nothing on the
-                // CPU side; under the epoch interlock it gates stores
-                // from overwriting lines of pre-ofence CLWBs that
-                // have not read the cache yet, exactly as a persist
-                // barrier does.
-                seen = true;
-            else if (queue[i].type == OpType::NewStrand)
-                seen = false;
-        }
-    }
-    std::size_t idx = static_cast<std::size_t>(-1);
-    for (const Entry &entry : queue) {
-        ++idx;
-        bool barrierSince = barrierBetween[idx];
+    // it (Eq. 1), so barriers do not gate stores of later strands.
+    // Each check is one conjunct of the answer, so the order of the
+    // pass cannot change it.
+    bool barrierSince = false;
+    for (const Entry &entry : std::views::reverse(queue)) {
         if (entry.seq >= seq)
-            break;
+            continue;
         switch (entry.type) {
           case OpType::Clwb:
             // NO-PERSIST-QUEUE head-of-line blocking (§VI-A): the
@@ -197,9 +174,20 @@ StrandEngine::storeMayIssue(SeqNum seq) const
             // has *issued*, not completed.
             if (params.pbGatesStores && !entry.issued)
                 return false;
+            barrierSince = true;
             break;
           case OpType::Ofence:
-            break; // fully delegated
+            // The delegated ofence normally orders nothing on the
+            // CPU side; under the epoch interlock it gates stores
+            // from overwriting lines of pre-ofence CLWBs that have
+            // not read the cache yet, exactly as a persist barrier
+            // does.
+            if (params.epochInterlock || params.strictAdmission)
+                barrierSince = true;
+            break;
+          case OpType::NewStrand:
+            barrierSince = false;
+            break;
           case OpType::JoinStrand:
             if (!entry.completed)
                 return false;
@@ -302,7 +290,6 @@ StrandEngine::issueHead()
         if (issueBudget == 0)
             return;
         --issueBudget;
-        usedPort = true;
         entry.issued = true;
         noteProgress();
         switch (entry.type) {

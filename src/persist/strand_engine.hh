@@ -78,7 +78,7 @@ StrandEngineParams hopsParams();
 
 /**
  * The strand engine's volatile state: the persist queue and the
- * shared-queue issue port. StrandEngine derives from it privately
+ * shared-queue issue budget. StrandEngine derives from it privately
  * (DESIGN.md §6); its strand buffer unit captures itself.
  */
 struct StrandEngineState
@@ -100,7 +100,6 @@ struct StrandEngineState
     std::deque<Entry> queue;
     /** Shared-queue designs: issues left this cycle (one drain port). */
     unsigned issueBudget = ~0u;
-    bool usedPort = false;
 };
 
 /**
@@ -125,9 +124,6 @@ class StrandEngine : public PersistEngine, private StrandEngineState
     bool sharesStoreQueue() const override;
     SeqNum oldestIncompleteSeq() const override;
     Hierarchy::Clearance recordDrainPoint() override;
-
-    /** The strand buffer unit (exposed for tests and stats). */
-    StrandBufferUnit &bufferUnit() { return sbu; }
 
     /** @name Statistics @{ */
     stats::Scalar clwbsDispatched;

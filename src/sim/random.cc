@@ -26,6 +26,15 @@ rotl(std::uint64_t x, int k)
 
 } // namespace
 
+std::uint64_t
+mixSeed(std::uint64_t seed, std::uint64_t stream)
+{
+    // The stream-th output of SplitMix64 started from seed: the
+    // standard way to fan one master seed out into independent streams.
+    std::uint64_t x = seed + (stream - 1) * 0x9e3779b97f4a7c15ULL;
+    return splitmix64(x);
+}
+
 Rng::Rng(std::uint64_t seed)
 {
     // Expand the seed through splitmix64 so that nearby seeds give

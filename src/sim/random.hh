@@ -71,6 +71,9 @@ class Rng
     std::uint64_t state[4];
 };
 
+/** SplitMix64 — derives independent sub-seeds from a master seed. */
+std::uint64_t mixSeed(std::uint64_t seed, std::uint64_t stream);
+
 /**
  * Zipfian distribution over [0, n) with skew theta, computed with the
  * standard Gray et al. rejection-free method. Used by the N-Store

@@ -224,6 +224,32 @@ TEST(Sweep, MissingBaselineMarksTheCellFailed)
               std::string::npos);
 }
 
+TEST(Experiment, TimingRunsTakeTheLoweringsLogLayout)
+{
+    // The lowering decides where the log lives, so the machine it
+    // runs on must take its layout from the lowering too. A base
+    // system that names another layout would otherwise prewarm a log
+    // range the lowered streams never write and run cold.
+    WorkloadParams params;
+    params.numThreads = 2;
+    params.opsPerThread = 20;
+    params.seed = 7;
+    const RecordedWorkload recorded =
+        recordWorkload(WorkloadKind::Queue, params);
+
+    ExperimentConfig config;
+    config.pmosan = false;
+    const RunMetrics reference = runExperiment(
+        recorded, HwDesign::StrandWeaver, PersistencyModel::Txn, config);
+
+    config.baseSystem.layout.entriesPerThread = 64;
+    const RunMetrics resized = runExperiment(
+        recorded, HwDesign::StrandWeaver, PersistencyModel::Txn, config);
+
+    EXPECT_EQ(resized.runTicks, reference.runTicks);
+    EXPECT_EQ(resized.hostEvents, reference.hostEvents);
+}
+
 TEST(ResultSink, SchemaThreeGolden)
 {
     // Hand-built result, exact bytes: any change to the document

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <set>
 #include <vector>
 
 #include "cpu/core.hh"
@@ -22,12 +23,103 @@ namespace
 constexpr Addr lineA = pmBase + 0x000;
 constexpr Addr lineB = pmBase + 0x400;
 
+/**
+ * A persist engine that orders nothing and hands out the store-queue
+ * view its core installs, so a test can hold the core's answers
+ * against the store traffic it observes.
+ */
+class ViewProbe : public PersistEngine
+{
+  public:
+    using PersistEngine::PersistEngine;
+
+    const StoreQueueView &view() const { return sq; }
+
+    /** While set, completed stores keep their slots, as they do
+     * behind an older persist op in the NO-PERSIST-QUEUE design. */
+    bool holdSlots = false;
+
+    void
+    release()
+    {
+        holdSlots = false;
+        noteProgress(); // wakes the sleeping core
+    }
+
+    bool canAccept() const override { return true; }
+    void dispatch(const Op &, SeqNum, SeqNum) override {}
+    bool storeMayIssue(SeqNum) const override { return true; }
+    void evaluate() override {}
+    bool drained() const override { return true; }
+    std::size_t queueOccupancy() const override { return 0; }
+
+    SeqNum
+    oldestIncompleteSeq() const override
+    {
+        return holdSlots ? 0 : ~static_cast<SeqNum>(0);
+    }
+
+    Hierarchy::Clearance recordDrainPoint() override { return {}; }
+
+  protected:
+    std::any saveOwnState() const override { return {}; }
+    void restoreOwnState(const std::any &) override {}
+};
+
+/**
+ * Hold every answer of @p core's store-queue view against facts kept
+ * apart from it, for each store dispatched so far. A stream of stores
+ * alone gives them seqs 1, 2, ... and they are Acked in seq order, so
+ * store s has issued once s Acks (storesIssued) are back; a store has
+ * completed once its entry says so or has left the queue. At most one
+ * store may await its admission decision.
+ */
+::testing::AssertionResult
+viewAgrees(const Core &core, const StoreQueueView &view)
+{
+    const auto acks = static_cast<SeqNum>(core.storesIssued.value());
+    const CoreState state = core.saveState();
+    const SeqNum stores = state.nextSeq - 1;
+    std::set<SeqNum> incomplete;
+    unsigned inTheMail = 0;
+    for (const CoreState::SqEntry &e : state.storeQueue) {
+        if (!e.completed)
+            incomplete.insert(e.seq);
+        if (e.sent && !e.issued)
+            ++inTheMail;
+    }
+    if (inTheMail > 1)
+        return ::testing::AssertionFailure()
+               << inTheMail << " stores await their admission decision";
+    const SeqNum oldest = incomplete.empty() ? ~static_cast<SeqNum>(0)
+                                             : *incomplete.begin();
+    if (view.oldestIncompleteStore() != oldest)
+        return ::testing::AssertionFailure()
+               << "oldestIncompleteStore() " << view.oldestIncompleteStore()
+               << ", expected " << oldest;
+    for (SeqNum s = 1; s <= stores + 1; ++s) {
+        if (s <= stores && view.issued(s) != (s <= acks))
+            return ::testing::AssertionFailure()
+                   << "issued(" << s << ") after " << acks << " Acks";
+        if (s <= stores && view.completed(s) == incomplete.contains(s))
+            return ::testing::AssertionFailure()
+                   << "completed(" << s << ")";
+        if (view.allIssuedBefore(s) != (s - 1 <= acks))
+            return ::testing::AssertionFailure()
+                   << "allIssuedBefore(" << s << ") after " << acks
+                   << " Acks";
+        if (view.allCompletedBefore(s) != (oldest >= s))
+            return ::testing::AssertionFailure()
+                   << "allCompletedBefore(" << s << ")";
+    }
+    return ::testing::AssertionSuccess();
+}
+
 class CoreFixture : public ::testing::Test
 {
   protected:
     void
-    build(HwDesign design, unsigned numCores = 1,
-          CoreParams cp = CoreParams{})
+    buildCaches(unsigned numCores)
     {
         pm = std::make_unique<MemController>("pm", eq, img,
                                              MemControllerParams{}, true);
@@ -36,6 +128,13 @@ class CoreFixture : public ::testing::Test
         hier = std::make_unique<Hierarchy>("caches", eq, img, numCores,
                                            HierarchyParams{}, *pm, *dram);
         cores.clear();
+    }
+
+    void
+    build(HwDesign design, unsigned numCores = 1,
+          CoreParams cp = CoreParams{})
+    {
+        buildCaches(numCores);
         for (unsigned i = 0; i < numCores; ++i) {
             auto engine = makePersistEngine(
                 design, "engine" + std::to_string(i), eq, i, *hier,
@@ -43,6 +142,39 @@ class CoreFixture : public ::testing::Test
             cores.push_back(std::make_unique<Core>(
                 "cpu" + std::to_string(i), eq, i, *hier,
                 std::move(engine), locks, cp));
+        }
+    }
+
+    /** One core behind a ViewProbe engine; @return the probe. */
+    ViewProbe &
+    buildProbed()
+    {
+        buildCaches(1);
+        auto engine = std::make_unique<ViewProbe>("probe", eq);
+        ViewProbe &probe = *engine;
+        cores.push_back(std::make_unique<Core>(
+            "cpu0", eq, 0, *hier, std::move(engine), locks,
+            CoreParams{}));
+        return probe;
+    }
+
+    /**
+     * Start core 0 on @p stores stores to distinct lines and service
+     * the queue one tick at a time until it drains, holding the
+     * store-queue view to viewAgrees() after every tick.
+     */
+    void
+    stepStores(const ViewProbe &probe, SeqNum stores)
+    {
+        OpStream stream;
+        for (SeqNum i = 0; i < stores; ++i)
+            stream.push_back(Op::store(pmBase + 0x60000 + i * 64, i));
+        cores[0]->setStream(std::move(stream));
+        cores[0]->start();
+        while (!eq.empty()) {
+            eq.runUntil(eq.nextLiveTick());
+            ASSERT_TRUE(viewAgrees(*cores[0], probe.view()))
+                << "at tick " << eq.curTick();
         }
     }
 
@@ -117,6 +249,41 @@ TEST_F(CoreFixture, ClwbWaitsForElderStoreData)
     stream.push_back(Op::sfence());
     run({stream});
     EXPECT_EQ(img.readPersisted(lineA), 44u);
+}
+
+TEST_F(CoreFixture, StoreQueueViewAnswersFromTheQueue)
+{
+    // The engine's gates read the store queue only through this view;
+    // it must track each Ack and completion as it lands.
+    constexpr SeqNum stores = 8;
+    ViewProbe &probe = buildProbed();
+    stepStores(probe, stores);
+    EXPECT_TRUE(cores[0]->finished());
+    EXPECT_EQ(cores[0]->storesIssued.value(),
+              static_cast<double>(stores));
+}
+
+TEST_F(CoreFixture, StoreQueueViewLooksPastCompletedStoresStillQueued)
+{
+    // Completed stores that keep their slots must not read as
+    // incomplete: the oldest incomplete store is the first one whose
+    // flag is clear, not the queue's front.
+    constexpr SeqNum stores = 8;
+    ViewProbe &probe = buildProbed();
+    probe.holdSlots = true;
+    stepStores(probe, stores);
+    ASSERT_FALSE(cores[0]->finished());
+    const CoreState held = cores[0]->saveState();
+    ASSERT_EQ(held.storeQueue.size(), stores);
+    for (const CoreState::SqEntry &e : held.storeQueue)
+        ASSERT_TRUE(e.completed);
+    EXPECT_TRUE(probe.view().allCompletedBefore(stores + 1));
+    EXPECT_EQ(probe.view().oldestIncompleteStore(),
+              ~static_cast<SeqNum>(0));
+
+    probe.release();
+    eq.run();
+    EXPECT_TRUE(cores[0]->finished());
 }
 
 TEST_F(CoreFixture, LoadsComplete)

@@ -213,6 +213,45 @@ TEST_F(EngineFixture, SwClwbWaitsForElderSameLineStore)
     EXPECT_TRUE(engine->drained());
 }
 
+TEST_F(EngineFixture, SwBarrierHoldsStoresUntilOlderClwbReadsTheCache)
+{
+    build(HwDesign::StrandWeaver);
+    dirty(lineA, 1);
+    sqFake.addStore(9);
+    sqFake.issue(9);
+    engine->setStoreView(sqFake.view());
+    // The CLWB leaves the persist queue, but its flush waits in the
+    // strand buffer for the elder store to write the L1.
+    dispatch(Op::clwb(lineA), 10, /*elder=*/9);
+    dispatch(Op::persistBarrier(), 11);
+    engine->evaluate();
+    EXPECT_FALSE(engine->storeMayIssue(12));
+    sqFake.complete(9);
+    pump();
+    EXPECT_TRUE(engine->storeMayIssue(12));
+}
+
+TEST_F(EngineFixture, SwNewStrandLiftsEarlierStrandsBarrierHold)
+{
+    // The same CLWB, but the barrier belongs to a later strand: it
+    // orders only that strand's CLWBs before the store (Eq. 1), so
+    // the store need not wait for the earlier strand's flush.
+    build(HwDesign::StrandWeaver);
+    dirty(lineA, 1);
+    sqFake.addStore(9);
+    sqFake.issue(9);
+    engine->setStoreView(sqFake.view());
+    dispatch(Op::clwb(lineA), 10, /*elder=*/9);
+    dispatch(Op::newStrand(), 11);
+    dispatch(Op::persistBarrier(), 12);
+    engine->evaluate();
+    EXPECT_TRUE(engine->storeMayIssue(13));
+    EXPECT_FALSE(engine->drained()); // the flush is still held
+    sqFake.complete(9);
+    pump();
+    EXPECT_TRUE(engine->drained());
+}
+
 TEST_F(EngineFixture, SwJoinStrandGatesStoresUntilClwbsComplete)
 {
     build(HwDesign::StrandWeaver);

@@ -113,6 +113,17 @@ TEST(Rng, BoundedIsRoughlyUniform)
     }
 }
 
+TEST(MixSeed, IsTheSplitMix64Stream)
+{
+    // Stream i of a master seed is SplitMix64's i-th output from it
+    // (the published outputs for seed 0), so every sub-seed the fuzz
+    // campaigns and media faults derive stays put.
+    EXPECT_EQ(mixSeed(0, 1), 0xe220a8397b1dcdafULL);
+    EXPECT_EQ(mixSeed(0, 2), 0x6e789e6aa1b965f4ULL);
+    EXPECT_EQ(mixSeed(0, 3), 0x06c45d188009454fULL);
+    EXPECT_NE(mixSeed(1, 1), mixSeed(0, 1));
+}
+
 TEST(Zipfian, StaysInDomain)
 {
     Rng rng(3);
