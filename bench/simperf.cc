@@ -67,7 +67,6 @@
 #include "core/observer_util.hh"
 #include "mem/memory_image.hh"
 #include "mem/port.hh"
-#include "runtime/instrumentor.hh"
 #include "sim/event_queue.hh"
 
 using namespace strand;
@@ -293,19 +292,11 @@ buildForkMachine()
     params.opsPerThread = 80;
     params.seed = 1;
     RecordedWorkload rec = recordWorkload(WorkloadKind::Queue, params);
-    InstrumentorParams ip;
-    ip.design = HwDesign::StrandWeaver;
-    ip.model = PersistencyModel::Sfr;
-    Instrumentor instr(ip);
-    std::vector<OpStream> streams = instr.lower(rec.trace);
-    SystemConfig cfg;
-    cfg.numCores = static_cast<unsigned>(streams.size());
-    cfg.design = HwDesign::StrandWeaver;
-    cfg.layout = ip.layout;
-    auto sys = std::make_unique<System>(cfg);
-    sys->seedImage(rec.preload);
-    sys->loadStreams(std::move(streams));
-    return sys;
+    return buildSystem(rec,
+                       lowerWorkload(rec, HwDesign::StrandWeaver,
+                                     PersistencyModel::Sfr,
+                                     LogStyle::Undo),
+                       ExperimentConfig{});
 }
 
 Section

@@ -1,7 +1,6 @@
 #include "core/experiment.hh"
 
 #include "core/env_config.hh"
-#include "core/observer_util.hh"
 #include "crash/crash_harness.hh"
 #include "sanitizer/pmo_sanitizer.hh"
 
@@ -28,31 +27,51 @@ recordWorkload(WorkloadKind kind, const WorkloadParams &params)
     return result;
 }
 
+LoweredWorkload
+lowerWorkload(const RecordedWorkload &recorded, HwDesign design,
+              PersistencyModel model, LogStyle logStyle)
+{
+    LoweredWorkload lowered;
+    lowered.params.design = design;
+    lowered.params.model = model;
+    lowered.params.logStyle = logStyle;
+    Instrumentor instr(lowered.params);
+    lowered.streams = instr.lower(recorded.trace);
+    lowered.stats = instr.stats();
+    lowered.regionLog = instr.regionLog();
+    return lowered;
+}
+
+std::unique_ptr<System>
+buildSystem(const RecordedWorkload &recorded,
+            const LoweredWorkload &lowered,
+            const ExperimentConfig &config, DrainAdversary *adversary)
+{
+    SystemConfig sysCfg = config.baseSystem;
+    // SFR/ATLAS lowering appends the background pruner's stream; it
+    // runs on an additional core.
+    sysCfg.numCores = static_cast<unsigned>(lowered.streams.size());
+    sysCfg.design = lowered.params.design;
+    sysCfg.engine = config.engine;
+    sysCfg.layout = lowered.params.layout;
+    sysCfg.adversary = adversary;
+    auto sys = std::make_unique<System>(sysCfg);
+    sys->seedImage(recorded.preload);
+    sys->loadStreams(lowered.streams);
+    return sys;
+}
+
 RunMetrics
 runExperiment(const RecordedWorkload &recorded, HwDesign design,
               PersistencyModel model, const ExperimentConfig &config,
               bool validate)
 {
-    InstrumentorParams ip;
-    ip.design = design;
-    ip.model = model;
-    ip.logStyle = config.logStyle;
-    Instrumentor instr(ip);
-    auto streams = instr.lower(recorded.trace);
+    const LoweredWorkload lowered =
+        lowerWorkload(recorded, design, model, config.logStyle);
+    const std::unique_ptr<System> machine =
+        buildSystem(recorded, lowered, config);
+    System &sys = *machine;
 
-    SystemConfig sysCfg = config.baseSystem;
-    // SFR/ATLAS lowering appends the background pruner's stream; it
-    // runs on an additional core.
-    sysCfg.numCores = static_cast<unsigned>(streams.size());
-    sysCfg.design = design;
-    sysCfg.engine = config.engine;
-    sysCfg.layout = ip.layout;
-    System sys(sysCfg);
-    sys.seedImage(recorded.preload);
-    sys.loadStreams(std::move(streams));
-
-    AdmissionTally tally;
-    sys.addObserver(&tally);
     const bool pmosan =
         config.pmosan.value_or(benchPmosan());
     PmoSanitizer sanitizer;
@@ -77,11 +96,11 @@ runExperiment(const RecordedWorkload &recorded, HwDesign design,
     metrics.ckc = metrics.totalCycles > 0
                       ? 1000.0 * metrics.clwbs / metrics.totalCycles
                       : 0.0;
-    metrics.lowering = instr.stats();
+    metrics.lowering = lowered.stats;
     metrics.hostEvents = sys.eventsServiced();
     metrics.simOps =
         static_cast<std::uint64_t>(sys.totalCommitted());
-    metrics.pmAdmissions = tally.admissions();
+    metrics.pmAdmissions = sys.persistTrace().size();
 
     if (pmosan) {
         metrics.pmosanViolations = sanitizer.violationCount();

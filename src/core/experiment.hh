@@ -14,6 +14,7 @@
 #include <optional>
 #include <string>
 #include <unordered_map>
+#include <vector>
 
 #include "core/system.hh"
 #include "runtime/instrumentor.hh"
@@ -66,7 +67,7 @@ struct RunMetrics
 
     /**
      * @name Observer-side observability
-     * ADR admissions counted through the observer API, and PMO-san
+     * ADR admissions (the length of the persist trace), and PMO-san
      * results when the sanitizer was attached (SW_PMOSAN). Not part
      * of the `metrics` JSON block — cells stay byte-identical with
      * the sanitizer off.
@@ -103,9 +104,40 @@ struct ExperimentConfig
     std::optional<bool> pmosan;
 };
 
+/** A recorded workload lowered for one (design, model, log style). */
+struct LoweredWorkload
+{
+    /** The lowering's inputs, with the log layout it emitted for. */
+    InstrumentorParams params;
+    /** One stream per program thread, plus SFR/ATLAS's pruner. */
+    std::vector<OpStream> streams;
+    LoweringStats stats;
+    /** Region -> log-entry map (the crash oracle's input). */
+    std::vector<RegionLogInfo> regionLog;
+};
+
 /** Record @p kind once with @p params. */
 RecordedWorkload recordWorkload(WorkloadKind kind,
                                 const WorkloadParams &params);
+
+/** Lower @p recorded for (design, model) with @p logStyle logging. */
+LoweredWorkload lowerWorkload(const RecordedWorkload &recorded,
+                              HwDesign design, PersistencyModel model,
+                              LogStyle logStyle);
+
+/**
+ * Build the machine every harness runs @p lowered on: the config's
+ * base system and engine, one core per stream, the lowering's design
+ * and log layout, and @p adversary at every legal-reordering site.
+ * The recorded preload is seeded (warming the L2 when the base system
+ * asks for it) and the streams are loaded, so the machine is ready to
+ * run. Timing cells, crash cells, fuzz trials and simperf all build
+ * here, so they replay the same machine.
+ */
+std::unique_ptr<System> buildSystem(const RecordedWorkload &recorded,
+                                    const LoweredWorkload &lowered,
+                                    const ExperimentConfig &config,
+                                    DrainAdversary *adversary = nullptr);
 
 /**
  * Lower @p recorded for (design, model) and replay it.

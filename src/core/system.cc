@@ -24,13 +24,14 @@ System::System(const SystemConfig &config)
                                          cfg.numCores, cfg.caches,
                                          *pmCtrl, *dramCtrl, this);
 
-    // ADR admissions fan out through the observer hub; the internal
-    // trace recorder is the first subscriber so persistTrace() is
-    // already updated when later observers see the same record.
-    hub.add(&traceRecorder);
+    // Each ADR admission lands in the persist trace before it fans
+    // out through the observer hub, so persistTrace() is already
+    // updated when an observer sees the same record.
     pmCtrl->setPersistObserver([this](const Packet &pkt, Tick when) {
-        hub.persistAdmitted(
-            {pkt.data.lineAddr, when, pkt.requester, pkt.origin});
+        const PersistRecord rec{pkt.data.lineAddr, when, pkt.requester,
+                                pkt.origin};
+        persists.push_back(rec);
+        hub.persistAdmitted(rec);
     });
     caches->setObserverHub(&hub);
 

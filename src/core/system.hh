@@ -13,8 +13,10 @@
 #define CORE_SYSTEM_HH
 
 #include <algorithm>
+#include <deque>
 #include <functional>
 #include <memory>
+#include <string>
 #include <unordered_map>
 #include <vector>
 
@@ -205,26 +207,6 @@ class System : public stats::StatGroup, private SystemRunState
     /** Start the cores exactly once across run()/runUntil() calls. */
     void startCores();
 
-    /**
-     * The internal persist-trace recorder is itself an observer —
-     * registered first, so persistTrace() is complete by the time any
-     * user-attached observer sees the same admission.
-     */
-    struct TraceRecorder final : PersistObserver
-    {
-        explicit TraceRecorder(std::vector<PersistRecord> &out)
-            : out(out)
-        {}
-
-        void
-        onPersistAdmitted(const PersistRecord &rec) override
-        {
-            out.push_back(rec);
-        }
-
-        std::vector<PersistRecord> &out;
-    };
-
     SystemConfig cfg;
     EventQueue eq;
     MemoryImage image;
@@ -234,7 +216,86 @@ class System : public stats::StatGroup, private SystemRunState
     LockTable locks;
     std::vector<std::unique_ptr<Core>> cores;
     ObserverHub hub;
-    TraceRecorder traceRecorder{persists};
+};
+
+/**
+ * The mid-run capture ring of every consumer that forks a machine
+ * from inside its run (DESIGN.md §6 rule 3). The consumer calls
+ * count() once per event it counts (a PM admission, an adversary
+ * query). Counts 1, 2, 4, ... schedule a one-shot at the current
+ * tick and Stat priority; the one-shot captures the System and the
+ * consumer's @p Extra state. Only the last two captures are kept, so
+ * older() leaves a non-trivial tail to re-execute. The extra events
+ * shift kernel seq numbers uniformly, which cannot reorder dispatch,
+ * so the counted run is unperturbed.
+ */
+template <typename Extra>
+class MidrunCaptures
+{
+  public:
+    struct Capture
+    {
+        Tick when = 0;
+        SimSnapshot snap;
+        Extra extra;
+    };
+
+    /**
+     * @param label Names the consumer in the "<label> capture @<tick>"
+     *              log line.
+     * @param extra Captures the consumer's state beside the machine.
+     */
+    MidrunCaptures(System &sys, std::string label,
+                   std::function<Extra()> extra)
+        : sys(sys), label(std::move(label)), extra(std::move(extra))
+    {}
+
+    /** Scheduled captures hold this object's address. */
+    MidrunCaptures(const MidrunCaptures &) = delete;
+    MidrunCaptures &operator=(const MidrunCaptures &) = delete;
+
+    void
+    count()
+    {
+        ++counted;
+        if (!capturing || (counted & (counted - 1)) != 0)
+            return;
+        EventQueue &eq = sys.eventQueue();
+        eq.schedule(eq.curTick(), [this] { capture(); },
+                    EventPriority::Stat);
+    }
+
+    /**
+     * End capturing. Captures still pending in the event queue (or in
+     * a restored queue) become no-ops.
+     */
+    void stop() { capturing = false; }
+
+    bool empty() const { return ring.empty(); }
+
+    /** The older of the (at most two) kept captures. */
+    const Capture &older() const { return ring.front(); }
+
+  private:
+    void
+    capture()
+    {
+        if (!capturing)
+            return;
+        Capture cap{sys.eventQueue().curTick(), sys.snapshot(),
+                    extra()};
+        inform("{} capture @{}", label, cap.when);
+        ring.push_back(std::move(cap));
+        if (ring.size() > 2)
+            ring.pop_front();
+    }
+
+    System &sys;
+    std::string label;
+    std::function<Extra()> extra;
+    std::deque<Capture> ring;
+    std::uint64_t counted = 0;
+    bool capturing = true;
 };
 
 } // namespace strand

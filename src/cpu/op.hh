@@ -55,24 +55,6 @@ constexpr std::uint8_t kIntentBarrier = 1;
 constexpr std::uint8_t kIntentNewStrand = 2;
 constexpr std::uint8_t kIntentJoin = 4;
 
-/** @return true for ops handled by the persist engine. */
-constexpr bool
-isPersistOp(OpType type)
-{
-    switch (type) {
-      case OpType::Clwb:
-      case OpType::PersistBarrier:
-      case OpType::NewStrand:
-      case OpType::JoinStrand:
-      case OpType::Sfence:
-      case OpType::Ofence:
-      case OpType::Dfence:
-        return true;
-      default:
-        return false;
-    }
-}
-
 /** One operation in a thread's stream. */
 struct Op
 {

@@ -142,8 +142,7 @@ CrashPointChecker::check(
 
 CrashCellResult
 runCrashCell(const RecordedWorkload &recorded, HwDesign design,
-             PersistencyModel model, const CrashHarnessConfig &config,
-             CrashStats *stats)
+             PersistencyModel model, const CrashHarnessConfig &config)
 {
     CrashCellResult result;
     result.design = design;
@@ -152,28 +151,15 @@ runCrashCell(const RecordedWorkload &recorded, HwDesign design,
         recorded.workload ? recorded.workload->name() : "?";
     result.pointsRequested = config.pointBudget;
 
-    InstrumentorParams ip;
-    ip.design = design;
-    ip.model = model;
-    ip.logStyle = config.logStyle;
-    Instrumentor instr(ip);
-    auto streams = instr.lower(recorded.trace);
-    CrashOracle oracle(recorded.trace, instr.regionLog(),
-                       recorded.preload, ip.layout);
-
-    auto buildSystem = [&]() {
-        SystemConfig sysCfg = config.experiment.baseSystem;
-        sysCfg.numCores = static_cast<unsigned>(streams.size());
-        sysCfg.design = design;
-        sysCfg.engine = config.experiment.engine;
-        sysCfg.engine.recordCompletionTicks = true;
-        sysCfg.layout = ip.layout;
-        auto sys = std::make_unique<System>(sysCfg);
-        sys->seedImage(recorded.preload);
-        auto copies = streams;
-        sys->loadStreams(std::move(copies));
-        return sys;
-    };
+    const LoweredWorkload lowered =
+        lowerWorkload(recorded, design, model, config.logStyle);
+    const LogLayout &layout = lowered.params.layout;
+    CrashOracle oracle(recorded.trace, lowered.regionLog,
+                       recorded.preload, layout);
+    // Every run records flush completions, the enumerated crash
+    // points beside the admissions.
+    ExperimentConfig experiment = config.experiment;
+    experiment.engine.recordCompletionTicks = true;
 
     if (config.pointBudget == 0)
         return result;
@@ -187,11 +173,28 @@ runCrashCell(const RecordedWorkload &recorded, HwDesign design,
     // also cross-checks the two scans against each other.
     const CrashPointChecker checker{
         .oracle = oracle,
-        .recovery = RecoveryManager{ip.layout},
+        .recovery = RecoveryManager{layout},
         .programThreads = recorded.params.numThreads,
         .scan = forked ? RecoveryScan::Paged : RecoveryScan::Faithful,
         .options = {.verifyChecksums = config.verifyChecksums},
         .workload = recorded.workload.get()};
+
+    // Run @p sys to completion and count its host work. A run that
+    // enumerates crash points also appends its engines' completion
+    // ticks to @p enumerated.
+    auto run = [&](System &sys, std::vector<Tick> *enumerated) {
+        const Tick end = sys.run();
+        result.hostEvents += sys.eventsServiced();
+        result.simOps +=
+            static_cast<std::uint64_t>(sys.totalCommitted());
+        for (CoreId i = 0; enumerated && i < sys.numCores(); ++i) {
+            const std::vector<Tick> &ticks =
+                sys.core(i).persistEngine().completionTicks();
+            enumerated->insert(enumerated->end(), ticks.begin(),
+                               ticks.end());
+        }
+        return end;
+    };
 
     // Evaluate one crash point against @p machine's persisted view;
     // @p machine is never written.
@@ -199,7 +202,7 @@ runCrashCell(const RecordedWorkload &recorded, HwDesign design,
         auto strike = [&](MemoryImage &snapshot) {
             if (config.media.any()) {
                 applyMediaFaults(snapshot, machine.recentAdmissions(),
-                                 config.media, ip.layout, when);
+                                 config.media, layout, when);
             }
         };
         return PointOutcome{
@@ -208,8 +211,8 @@ runCrashCell(const RecordedWorkload &recorded, HwDesign design,
 
     // Fold an outcome into the cell result. Both modes fold in
     // injection order (ascending ticks, end-of-run last), so the
-    // result — counters, stats samples, failure list — is identical
-    // between them by construction.
+    // result — counters and failure list — is identical between them
+    // by construction.
     auto fold = [&](PointOutcome &&outcome) {
         ++result.pointsTested;
         result.totalRolledBack += outcome.report.entriesRolledBack;
@@ -232,19 +235,12 @@ runCrashCell(const RecordedWorkload &recorded, HwDesign design,
             ++result.verdictFailed;
             break;
         }
-        if (stats) {
-            stats->rolledBack.sample(static_cast<double>(
-                outcome.report.entriesRolledBack));
-            stats->replayed.sample(static_cast<double>(
-                outcome.report.redoEntriesReplayed));
-        }
         if (outcome.violation.empty()) {
             ++result.pointsPassed;
             return;
         }
         CrashPointResult point;
         point.when = outcome.when;
-        point.passed = false;
         point.entriesRolledBack = outcome.report.entriesRolledBack;
         point.redoEntriesReplayed =
             outcome.report.redoEntriesReplayed;
@@ -265,7 +261,6 @@ runCrashCell(const RecordedWorkload &recorded, HwDesign design,
         point.when = sanitizer.violations().empty()
                          ? finishTick
                          : sanitizer.violations()[0].when;
-        point.passed = false;
         ++result.pointsTested;
         if (result.failures.size() < 32)
             point.violation = sanitizer.report();
@@ -284,66 +279,26 @@ runCrashCell(const RecordedWorkload &recorded, HwDesign design,
             MemoryImage::AdmissionUndo undo;
         };
         std::vector<AdmitDelta> admits;
-        auto sys = buildSystem();
+        auto sys = buildSystem(recorded, lowered, experiment);
         PmoSanitizer sanitizer;
         if (pmosan)
             sys->addObserver(&sanitizer);
 
         // Mid-run full-machine captures at power-of-two admission
-        // counts. Each capture is taken by a Stat-priority one-shot,
-        // after every same-tick admission and core tick has settled
-        // (and the capture event itself has been released, so it is
-        // not part of the snapshot). Only the last two are kept: the
-        // older one leaves a non-trivial tail to re-execute for the
-        // determinism check below. The extra events shift kernel seq
-        // numbers uniformly, which cannot reorder dispatch, so the
-        // warm run's trace — and the .cells output — is unperturbed.
-        struct MachineCapture
-        {
-            Tick when = 0;
-            SimSnapshot snap;
-            PmoSanitizer::State sanitizerState;
-        };
-        std::deque<MachineCapture> machineCaptures;
-        std::uint64_t admissionsSeen = 0;
-        bool capturing = config.verifyMidrunFork;
-        auto captureMachine = [&] {
-            if (!capturing)
-                return;
-            MachineCapture cap;
-            cap.when = sys->eventQueue().curTick();
-            cap.snap = sys->snapshot();
-            cap.sanitizerState = sanitizer.snapshotState();
-            inform("crash-fork capture @{}", cap.when);
-            machineCaptures.push_back(std::move(cap));
-            if (machineCaptures.size() > 2)
-                machineCaptures.pop_front();
-        };
-
+        // counts, with the sanitizer's state beside each, for the
+        // determinism check below.
+        MidrunCaptures<PmoSanitizer::State> captures(
+            *sys, "crash-fork", [&] { return sanitizer.snapshotState(); });
         AdmissionCallback admissions(
             [&](const PersistRecord &rec) {
                 enumerated.push_back(rec.when);
                 admits.push_back(
                     {rec.when, sys->memory().lastAdmissionUndo()});
-                ++admissionsSeen;
-                if (capturing &&
-                    (admissionsSeen & (admissionsSeen - 1)) == 0)
-                    sys->eventQueue().schedule(rec.when,
-                                               captureMachine,
-                                               EventPriority::Stat);
+                if (config.verifyMidrunFork)
+                    captures.count();
             });
         sys->addObserver(&admissions);
-        Tick endTick = sys->run();
-        result.hostEvents += sys->eventsServiced();
-        result.simOps +=
-            static_cast<std::uint64_t>(sys->totalCommitted());
-        for (CoreId i = 0; i < sys->numCores(); ++i) {
-            const std::vector<Tick> &ticks =
-                sys->core(i).persistEngine().completionTicks();
-            enumerated.insert(enumerated.end(), ticks.begin(),
-                              ticks.end());
-        }
-        const Tick finishTick = sys->finishTick();
+        const Tick finishTick = run(*sys, &enumerated);
 
         // Determinism check: rewind the whole machine to the older
         // capture and re-run the tail. The restored execution must be
@@ -352,17 +307,17 @@ runCrashCell(const RecordedWorkload &recorded, HwDesign design,
         // trusted. The admission observer is detached first so the
         // replayed tail does not duplicate enumeration state; the
         // sanitizer is rewound alongside and re-checks the tail.
-        if (!machineCaptures.empty()) {
-            capturing = false;
+        if (!captures.empty()) {
+            captures.stop();
             sys->removeObserver(&admissions);
-            const MachineCapture &cap = machineCaptures.front();
+            const auto &cap = captures.older();
             const std::vector<PersistRecord> reference =
                 sys->persistTrace();
             inform("crash-fork restore @{} (finish {}): re-running "
                    "tail for the determinism check",
                    cap.when, finishTick);
             sys->restore(cap.snap);
-            sanitizer.restoreState(cap.sanitizerState);
+            sanitizer.restoreState(cap.extra);
             const Tick refork = sys->run();
             panicIf(refork != finishTick,
                     "mid-run fork diverged: restored run finished at "
@@ -373,7 +328,7 @@ runCrashCell(const RecordedWorkload &recorded, HwDesign design,
         }
 
         CrashPointPlan plan =
-            planCrashPoints(std::move(enumerated), endTick, config);
+            planCrashPoints(std::move(enumerated), finishTick, config);
         result.pointsInjected =
             static_cast<unsigned>(plan.points.size()) + 1;
 
@@ -430,22 +385,13 @@ runCrashCell(const RecordedWorkload &recorded, HwDesign design,
         std::vector<Tick> enumerated;
         Tick endTick = 0;
         {
-            auto ref = buildSystem();
+            auto ref = buildSystem(recorded, lowered, experiment);
             AdmissionCallback admissions(
                 [&enumerated](const PersistRecord &rec) {
                     enumerated.push_back(rec.when);
                 });
             ref->addObserver(&admissions);
-            endTick = ref->run();
-            result.hostEvents += ref->eventsServiced();
-            result.simOps +=
-                static_cast<std::uint64_t>(ref->totalCommitted());
-            for (CoreId i = 0; i < ref->numCores(); ++i) {
-                const std::vector<Tick> &ticks =
-                    ref->core(i).persistEngine().completionTicks();
-                enumerated.insert(enumerated.end(), ticks.begin(),
-                                  ticks.end());
-            }
+            endTick = run(*ref, &enumerated);
         }
         CrashPointPlan plan =
             planCrashPoints(std::move(enumerated), endTick, config);
@@ -457,7 +403,7 @@ runCrashCell(const RecordedWorkload &recorded, HwDesign design,
         // run at Stat priority — after every same-tick admission
         // (MemoryResponse) — pinning the "state at tick T" semantics
         // the forked mode reconstructs.
-        auto sys = buildSystem();
+        auto sys = buildSystem(recorded, lowered, experiment);
         PmoSanitizer sanitizer;
         if (pmosan)
             sys->addObserver(&sanitizer);
@@ -466,18 +412,12 @@ runCrashCell(const RecordedWorkload &recorded, HwDesign design,
                 when,
                 [&, when] { fold(evaluate(sys->memory(), when)); },
                 EventPriority::Stat);
-        sys->run();
-        result.hostEvents += sys->eventsServiced();
-        result.simOps +=
-            static_cast<std::uint64_t>(sys->totalCommitted());
+        const Tick finishTick = run(*sys, nullptr);
         // The completed run is one more crash point: a failure after
         // the last persist must recover to the final state.
-        fold(evaluate(sys->memory(), sys->finishTick()));
-        foldSanitizer(sanitizer, sys->finishTick());
+        fold(evaluate(sys->memory(), finishTick));
+        foldSanitizer(sanitizer, finishTick);
     }
-
-    if (stats)
-        stats->record(result);
     return result;
 }
 

@@ -53,7 +53,6 @@
 #include "core/experiment.hh"
 #include "crash/crash_oracle.hh"
 #include "crash/media_faults.hh"
-#include "sim/stats.hh"
 
 namespace strand
 {
@@ -192,14 +191,14 @@ struct CrashPointChecker
           const std::function<void(MemoryImage &)> &strike) const;
 };
 
-/** Outcome of one injected crash point. */
+/** One failing crash point (a recovery or PMO-san violation). */
 struct CrashPointResult
 {
     Tick when = 0;
-    bool passed = false;
     std::uint64_t entriesRolledBack = 0;
     std::uint64_t redoEntriesReplayed = 0;
-    std::string violation; ///< empty when passed
+    /** Empty past the cell's 32nd failure (messages are capped). */
+    std::string violation;
 };
 
 /** Outcome of one (design, model, workload) cell. */
@@ -245,51 +244,10 @@ struct CrashCellResult
     bool allPassed() const { return pointsTested == pointsPassed; }
 };
 
-/**
- * Per-cell stats, attachable to a StatGroup tree so crash results
- * print alongside the timing stats.
- */
-class CrashStats : public stats::StatGroup
-{
-  public:
-    CrashStats(std::string name, stats::StatGroup *parent = nullptr)
-        : stats::StatGroup(std::move(name), parent),
-          pointsTested(this, "crash_points_tested",
-                       "crash points injected"),
-          pointsPassed(this, "crash_points_passed",
-                       "crash points that recovered consistently"),
-          violations(this, "crash_violations",
-                     "crash points with recovery violations"),
-          rolledBack(this, "recovery_rolled_back",
-                     "undo entries rolled back per recovery"),
-          replayed(this, "recovery_redo_replayed",
-                   "redo entries replayed per recovery")
-    {
-    }
-
-    void
-    record(const CrashCellResult &result)
-    {
-        pointsTested += result.pointsTested;
-        pointsPassed += result.pointsPassed;
-        violations += result.pointsTested - result.pointsPassed;
-    }
-
-    stats::Scalar pointsTested;
-    stats::Scalar pointsPassed;
-    stats::Scalar violations;
-    stats::Histogram rolledBack;
-    stats::Histogram replayed;
-};
-
-/**
- * Run crash injection for one cell.
- * @param stats Optional sink for per-point recovery stats.
- */
+/** Run crash injection for one cell. */
 CrashCellResult runCrashCell(const RecordedWorkload &recorded,
                              HwDesign design, PersistencyModel model,
-                             const CrashHarnessConfig &config = {},
-                             CrashStats *stats = nullptr);
+                             const CrashHarnessConfig &config = {});
 
 } // namespace strand
 

@@ -1,11 +1,8 @@
 #include "fuzz/fuzz_trial.hh"
 
-#include <deque>
-
 #include "core/env_config.hh"
 #include "core/observer_util.hh"
 #include "crash/crash_harness.hh"
-#include "runtime/instrumentor.hh"
 #include "runtime/recovery.hh"
 #include "sanitizer/pmo_sanitizer.hh"
 #include "sim/random.hh"
@@ -39,44 +36,6 @@ pmosanEnabled(const FuzzTrialSpec &spec)
     return spec.pmosan.value_or(envConfig().pmosan.value_or(false));
 }
 
-/** Streams, oracle, and a system factory for one (ctx, adversary). */
-struct TrialRig
-{
-    InstrumentorParams ip;
-    std::vector<OpStream> streams;
-    CrashOracle oracle;
-
-    TrialRig(const FuzzTrialContext &ctx)
-        : ip(), streams(), oracle([&]() -> CrashOracle {
-              ip.design = ctx.spec.design;
-              ip.model = ctx.spec.model;
-              ip.logStyle = ctx.spec.logStyle;
-              Instrumentor instr(ip);
-              streams = instr.lower(ctx.recorded.trace);
-              return CrashOracle(ctx.recorded.trace,
-                                 instr.regionLog(),
-                                 ctx.recorded.preload, ip.layout);
-          }())
-    {
-    }
-
-    std::unique_ptr<System>
-    buildSystem(const FuzzTrialContext &ctx, DrainAdversary *adv)
-    {
-        SystemConfig sysCfg = ctx.spec.experiment.baseSystem;
-        sysCfg.numCores = static_cast<unsigned>(streams.size());
-        sysCfg.design = ctx.spec.design;
-        sysCfg.engine = ctx.spec.experiment.engine;
-        sysCfg.layout = ip.layout;
-        sysCfg.adversary = adv;
-        auto sys = std::make_unique<System>(sysCfg);
-        sys->seedImage(ctx.recorded.preload);
-        auto copies = streams;
-        sys->loadStreams(std::move(copies));
-        return sys;
-    }
-};
-
 /**
  * Forked schedule branching: inputs and outcome of the extra suffix
  * explorations run from mid-run machine snapshots.
@@ -103,6 +62,17 @@ struct BranchProbe
     std::uint64_t simOps = 0;
 };
 
+/** The trial state a branch rewinds beside the machine. */
+struct BranchPrefix
+{
+    DrainAdversary::State adv;
+    PmoSanitizer::State san;
+    std::uint64_t hash = 0;
+    FuzzReplayOutcome outcome;
+    std::uint64_t serviced = 0;
+    std::uint64_t committed = 0;
+};
+
 /**
  * Run one system under @p adv with crash-recovery injection at every
  * admission and after completion. The shared core of the replay run
@@ -118,15 +88,20 @@ runWithInjection(const FuzzTrialContext &ctx, DrainAdversary &adv,
                  BranchProbe *probe = nullptr)
 {
     FuzzReplayOutcome outcome;
-    TrialRig rig(ctx);
+    const FuzzTrialSpec &spec = ctx.spec;
+    const LoweredWorkload lowered = lowerWorkload(
+        ctx.recorded, spec.design, spec.model, spec.logStyle);
+    const LogLayout &layout = lowered.params.layout;
+    const CrashOracle oracle(ctx.recorded.trace, lowered.regionLog,
+                             ctx.recorded.preload, layout);
 
-    auto sys = rig.buildSystem(ctx, &adv);
+    auto sys = buildSystem(ctx.recorded, lowered, spec.experiment, &adv);
     const CrashPointChecker checker{
-        .oracle = rig.oracle,
-        .recovery = RecoveryManager{rig.ip.layout},
+        .oracle = oracle,
+        .recovery = RecoveryManager{layout},
         .programThreads = ctx.recorded.params.numThreads,
         .scan = scan,
-        .options = {.verifyChecksums = ctx.spec.verifyChecksums},
+        .options = {.verifyChecksums = spec.verifyChecksums},
         .workload = ctx.recorded.workload.get()};
 
     // Each media fault class asks the adversary per opportunity;
@@ -134,26 +109,24 @@ runWithInjection(const FuzzTrialContext &ctx, DrainAdversary &adv,
     // ddmin apply them exactly.
     const std::function<void(MemoryImage &)> strike =
         [&](MemoryImage &snapshot) {
-        if (!ctx.spec.media.any())
+        if (!spec.media.any())
             return;
         const AdmissionRing ring = sys->memory().recentAdmissions();
         unsigned dropped = 0;
-        for (unsigned i = 0; i < ctx.spec.media.dropAdmissions; ++i) {
+        for (unsigned i = 0; i < spec.media.dropAdmissions; ++i) {
             if (!adv.considerMedia(FuzzSite::MediaDrop))
                 continue;
             if (!mediaDropNewest(snapshot, ring, dropped))
                 break;
         }
-        for (unsigned i = 0; i < ctx.spec.media.bitFlips; ++i) {
-            if (auto entropy = adv.considerMedia(FuzzSite::MediaFlip)) {
-                mediaFlipBit(snapshot, ring, dropped, rig.ip.layout,
-                             *entropy);
-            }
+        for (unsigned i = 0; i < spec.media.bitFlips; ++i) {
+            if (auto entropy = adv.considerMedia(FuzzSite::MediaFlip))
+                mediaFlipBit(snapshot, ring, dropped, layout, *entropy);
         }
-        for (unsigned i = 0; i < ctx.spec.media.poisonLines; ++i) {
+        for (unsigned i = 0; i < spec.media.poisonLines; ++i) {
             if (auto entropy =
                     adv.considerMedia(FuzzSite::MediaPoison)) {
-                mediaPoisonLine(snapshot, ring, dropped, rig.ip.layout,
+                mediaPoisonLine(snapshot, ring, dropped, layout,
                                 *entropy);
             }
         }
@@ -185,10 +158,15 @@ runWithInjection(const FuzzTrialContext &ctx, DrainAdversary &adv,
     PmoSanitizer sanitizer;
     sys->addObserver(&injector);
     sys->addObserver(&hasher);
-    if (pmosanEnabled(ctx.spec))
+    if (pmosanEnabled(spec))
         sys->addObserver(&sanitizer);
 
-    auto foldSanitizer = [&] {
+    // Run to completion, then check the completed run — a crash after
+    // the last persist must recover to the final state — and fold in
+    // the sanitizer's verdict. The main run and every branch end here.
+    auto finish = [&] {
+        outcome.endTick = sys->run();
+        inject(outcome.endTick, false);
         if (sanitizer.ok())
             return;
         // Persist-order violations ride the same failure path as
@@ -203,61 +181,24 @@ runWithInjection(const FuzzTrialContext &ctx, DrainAdversary &adv,
         }
     };
 
-    // Branching mode: capture the whole machine at power-of-two
-    // adversary query counts. The capture itself runs in a deferred
-    // Stat-priority one-shot, after every same-tick action has
-    // settled and with the capture event already released — a restore
-    // resumes exactly at the inter-event boundary. Only the last two
-    // captures are kept; branches fork from the older one, so a
-    // non-trivial suffix of the schedule remains to explore. The
-    // extra events shift kernel seq numbers uniformly, which cannot
-    // reorder dispatch, so the main schedule is unperturbed.
-    struct Capture
-    {
-        Tick when = 0;
-        SimSnapshot snap;
-        DrainAdversary::State adv;
-        PmoSanitizer::State san;
-        std::uint64_t hash = 0;
-        FuzzReplayOutcome outcome;
-        std::uint64_t serviced = 0;
-        std::uint64_t committed = 0;
-    };
-    std::deque<Capture> captures;
-    bool capturing = true;
-    if (probe && probe->branches > 0) {
-        adv.setQueryHook([&](std::uint64_t queries) {
-            if (!capturing || (queries & (queries - 1)) != 0)
-                return;
-            sys->eventQueue().schedule(
-                sys->eventQueue().curTick(),
-                [&] {
-                    if (!capturing)
-                        return;
-                    Capture cap;
-                    cap.when = sys->eventQueue().curTick();
-                    cap.snap = sys->snapshot();
-                    cap.adv = adv.snapshotState();
-                    cap.san = sanitizer.snapshotState();
-                    cap.hash = hasher.value();
-                    cap.outcome = outcome;
-                    cap.serviced = sys->eventsServiced();
-                    cap.committed = static_cast<std::uint64_t>(
-                        sys->totalCommitted());
-                    inform("fuzz-fork capture @{}", cap.when);
-                    captures.push_back(std::move(cap));
-                    if (captures.size() > 2)
-                        captures.pop_front();
-                },
-                EventPriority::Stat);
-        });
-    }
+    // Branching mode: capture the whole machine, with the trial state
+    // a branch rewinds, at power-of-two adversary query counts.
+    // Branches fork from the older kept capture, so a non-trivial
+    // suffix of the schedule remains to explore.
+    MidrunCaptures<BranchPrefix> captures(*sys, "fuzz-fork", [&] {
+        return BranchPrefix{
+            .adv = adv.snapshotState(),
+            .san = sanitizer.snapshotState(),
+            .hash = hasher.value(),
+            .outcome = outcome,
+            .serviced = sys->eventsServiced(),
+            .committed =
+                static_cast<std::uint64_t>(sys->totalCommitted())};
+    });
+    if (probe && probe->branches > 0)
+        adv.setQueryHook([&](std::uint64_t) { captures.count(); });
 
-    outcome.endTick = sys->run();
-    // A crash after the last persist must recover to the final state.
-    inject(outcome.endTick, false);
-    foldSanitizer();
-
+    finish();
     outcome.traceHash = hasher.value();
     outcome.hostEvents = sys->eventsServiced();
     outcome.simOps =
@@ -270,28 +211,26 @@ runWithInjection(const FuzzTrialContext &ctx, DrainAdversary &adv,
         // then lets a fresh decision stream produce a different legal
         // schedule tail. The first failing branch stops exploration;
         // its full log is handed back for oracle confirmation.
-        capturing = false;
-        const Capture &cap = captures.front();
+        captures.stop();
+        const auto &cap = captures.older();
+        const BranchPrefix &prefix = cap.extra;
         const FuzzReplayOutcome mainOutcome = outcome;
         const DrainAdversary::State mainAdv = adv.snapshotState();
         for (unsigned b = 1;
              b <= probe->branches && !probe->failed; ++b) {
             sys->restore(cap.snap);
-            adv.restoreState(cap.adv);
+            adv.restoreState(prefix.adv);
             adv.reseed(mixSeed(probe->seedBase, b));
-            hasher.restoreValue(cap.hash);
-            sanitizer.restoreState(cap.san);
-            outcome = cap.outcome;
+            hasher.restoreValue(prefix.hash);
+            sanitizer.restoreState(prefix.san);
+            outcome = prefix.outcome;
             inform("fuzz-fork branch {} from @{}", b, cap.when);
-            outcome.endTick = sys->run();
-            inject(outcome.endTick, false);
-            foldSanitizer();
+            finish();
             ++probe->branchesRun;
-            probe->hostEvents +=
-                sys->eventsServiced() - cap.serviced;
+            probe->hostEvents += sys->eventsServiced() - prefix.serviced;
             probe->simOps +=
                 static_cast<std::uint64_t>(sys->totalCommitted()) -
-                cap.committed;
+                prefix.committed;
             if (outcome.failed) {
                 probe->failed = true;
                 probe->failingBranch = b;
@@ -305,7 +244,41 @@ runWithInjection(const FuzzTrialContext &ctx, DrainAdversary &adv,
         adv.restoreState(mainAdv);
         outcome = mainOutcome;
     }
+    // The hook refers to this frame; the caller's adversary outlives it.
+    adv.setQueryHook({});
     return outcome;
+}
+
+const char *const replayDivergence =
+    "replay divergence: persist trace of the replay run does not "
+    "match the recording run";
+
+/**
+ * Make the checked run @p outcome the trial's verdict and count its
+ * host work. A persist trace other than @p referenceHash means the
+ * replayed schedule did not reproduce the run it confirms — an
+ * infrastructure bug, failed as its own class (with @p divergence as
+ * the message when nothing else failed) so campaigns surface it
+ * instead of silently mis-shrinking.
+ */
+void
+adopt(FuzzTrialResult &result, const FuzzReplayOutcome &outcome,
+      std::uint64_t referenceHash, const char *divergence)
+{
+    result.failed = outcome.failed;
+    result.violation = outcome.violation;
+    result.crashTick = outcome.crashTick;
+    result.pointsChecked = outcome.pointsChecked;
+    result.pointsFailed = outcome.pointsFailed;
+    result.traceHash = outcome.traceHash;
+    result.hostEvents += outcome.hostEvents;
+    result.simOps += outcome.simOps;
+    if (outcome.traceHash == referenceHash)
+        return;
+    result.replayDiverged = true;
+    result.failed = true;
+    if (result.violation.empty())
+        result.violation = divergence;
 }
 
 } // namespace
@@ -370,70 +343,37 @@ runFuzzTrial(const FuzzTrialSpec &spec)
                              RecoveryScan::Paged, &probe);
         result.decisions = adv.log();
         result.queries = adv.queriesSeen();
-        result.hostEvents += fast.hostEvents + probe.hostEvents;
-        result.simOps += fast.simOps + probe.simOps;
+        result.hostEvents += probe.hostEvents;
+        result.simOps += probe.simOps;
         result.branchesExplored = probe.branchesRun;
-        if (!fast.failed && probe.failed) {
-            // The main schedule passed but a forked suffix failed:
-            // confirm by replaying the branch's full decision log
-            // from tick zero with the faithful scan — the exact
-            // predicate the shrinker applies to sub-logs. The replay
-            // must also reproduce the restored-prefix execution's
-            // persist trace bit for bit; a mismatch means snapshot
-            // restore is not deterministic and is reported as its
-            // own failure class.
-            FuzzReplayOutcome confirm = replayDecisions(
-                ctx, probe.failingLog, result.tornWords);
+        if (!fast.failed && !probe.failed) {
+            // Nothing to confirm: the fast run is its own reference.
+            adopt(result, fast, fast.traceHash, replayDivergence);
+            return result;
+        }
+        // Confirm the failure through the oracle path: replay its
+        // full decision log from tick 0 with the faithful scan,
+        // exactly what the shrinker will do. The replay must
+        // reproduce the failing run's persist trace bit for bit.
+        result.hostEvents += fast.hostEvents;
+        result.simOps += fast.simOps;
+        std::uint64_t reference = fast.traceHash;
+        const char *divergence = replayDivergence;
+        if (probe.failed) {
+            // The main schedule passed but a forked suffix failed. A
+            // replay that does not reproduce the restored-prefix
+            // execution means snapshot restore is not deterministic.
             result.decisions = probe.failingLog;
             result.queries = probe.failingQueries;
             result.failingBranch = probe.failingBranch;
-            result.failed = confirm.failed;
-            result.violation = confirm.violation;
-            result.crashTick = confirm.crashTick;
-            result.pointsChecked = confirm.pointsChecked;
-            result.pointsFailed = confirm.pointsFailed;
-            result.traceHash = confirm.traceHash;
-            result.hostEvents += confirm.hostEvents;
-            result.simOps += confirm.simOps;
-            if (confirm.traceHash != probe.traceHash) {
-                result.replayDiverged = true;
-                result.failed = true;
-                if (result.violation.empty())
-                    result.violation =
-                        "replay divergence: replaying the forked "
-                        "branch's decision log does not reproduce "
-                        "the restored-snapshot execution";
-            }
-            return result;
+            reference = probe.traceHash;
+            divergence = "replay divergence: replaying the forked "
+                         "branch's decision log does not reproduce "
+                         "the restored-snapshot execution";
         }
-        if (!fast.failed) {
-            result.pointsChecked = fast.pointsChecked;
-            result.pointsFailed = fast.pointsFailed;
-            result.traceHash = fast.traceHash;
-            return result;
-        }
-        // Confirm the failure through the oracle path: replay the
-        // recorded log from tick 0 with the faithful scan, exactly
-        // what the shrinker will do. The divergence check below
-        // compares against the fast run's trace.
-        FuzzReplayOutcome outcome = replayDecisions(
-            ctx, result.decisions, result.tornWords);
-        result.failed = outcome.failed;
-        result.violation = outcome.violation;
-        result.crashTick = outcome.crashTick;
-        result.pointsChecked = outcome.pointsChecked;
-        result.pointsFailed = outcome.pointsFailed;
-        result.traceHash = outcome.traceHash;
-        result.hostEvents += outcome.hostEvents;
-        result.simOps += outcome.simOps;
-        if (outcome.traceHash != fast.traceHash) {
-            result.replayDiverged = true;
-            result.failed = true;
-            if (result.violation.empty())
-                result.violation =
-                    "replay divergence: persist trace of the replay "
-                    "run does not match the recording run";
-        }
+        adopt(result,
+              replayDecisions(ctx, result.decisions, result.tornWords),
+              reference, divergence);
         return result;
     }
 
@@ -444,8 +384,11 @@ runFuzzTrial(const FuzzTrialSpec &spec)
         AdversaryParams ap = spec.adversary;
         ap.seed = ctx.adversarySeed;
         DrainAdversary adv = DrainAdversary::recording(ap);
-        TrialRig rig(ctx);
-        auto sys = rig.buildSystem(ctx, &adv);
+        auto sys = buildSystem(
+            ctx.recorded,
+            lowerWorkload(ctx.recorded, spec.design, spec.model,
+                          spec.logStyle),
+            spec.experiment, &adv);
         TraceHasher hasher;
         sys->addObserver(&hasher);
         sys->run();
@@ -456,29 +399,9 @@ runFuzzTrial(const FuzzTrialSpec &spec)
         result.simOps +=
             static_cast<std::uint64_t>(sys->totalCommitted());
     }
-
-    FuzzReplayOutcome outcome =
-        replayDecisions(ctx, result.decisions, result.tornWords);
-    result.failed = outcome.failed;
-    result.violation = outcome.violation;
-    result.crashTick = outcome.crashTick;
-    result.pointsChecked = outcome.pointsChecked;
-    result.pointsFailed = outcome.pointsFailed;
-    result.traceHash = outcome.traceHash;
-    result.hostEvents += outcome.hostEvents;
-    result.simOps += outcome.simOps;
-
-    if (outcome.traceHash != recordHash) {
-        // The replayed schedule did not reproduce the recorded run —
-        // an infrastructure bug, reported as its own failure class so
-        // campaigns surface it instead of silently mis-shrinking.
-        result.replayDiverged = true;
-        result.failed = true;
-        if (result.violation.empty())
-            result.violation = "replay divergence: persist trace of "
-                               "the replay run does not match the "
-                               "recording run";
-    }
+    adopt(result,
+          replayDecisions(ctx, result.decisions, result.tornWords),
+          recordHash, replayDivergence);
     return result;
 }
 

@@ -75,6 +75,10 @@ serializeRepro(const FuzzRepro &repro)
     // key set; the planted bug exists purely for harness self-tests.
     if (repro.spec.experiment.engine.plantedEpochBug)
         out << "planted 1\n";
+    // HOPS strict admission changes the schedule space, so a trial
+    // fuzzed with it must replay with it.
+    if (repro.spec.experiment.engine.hopsStrictAdmission)
+        out << "strict 1\n";
     // Pinned when the trial ran with an explicit PMO-san setting, so
     // a sanitizer-found violation replays with the sanitizer attached
     // regardless of the replaying environment's SW_PMOSAN.
@@ -170,6 +174,9 @@ parseRepro(const std::string &text, std::string *error)
         } else if (key == "planted") {
             repro.spec.experiment.engine.plantedEpochBug =
                 value != "0";
+        } else if (key == "strict") {
+            repro.spec.experiment.engine.hopsStrictAdmission =
+                value != "0";
         } else if (key == "pmosan") {
             repro.spec.pmosan = value != "0";
         } else if (key == "seed") {
@@ -219,6 +226,8 @@ writeRepro(const FuzzRepro &repro, const std::string &dir)
                        persistencyModelName(repro.spec.model);
     if (repro.spec.experiment.engine.hopsEpochInterlock)
         name += "-interlock";
+    if (repro.spec.experiment.engine.hopsStrictAdmission)
+        name += "-strict";
     if (repro.spec.logStyle == LogStyle::Redo)
         name += "-redo";
     name += "-t";

@@ -5,20 +5,6 @@
 namespace strand
 {
 
-const char *
-recoveryVerdictName(RecoveryVerdict verdict)
-{
-    switch (verdict) {
-      case RecoveryVerdict::Full:
-        return "FULL";
-      case RecoveryVerdict::Degraded:
-        return "DEGRADED";
-      case RecoveryVerdict::Failed:
-        return "FAILED";
-    }
-    return "?";
-}
-
 RecoveryManager::EntryView
 RecoveryManager::readEntry(const MemoryImage &image, CoreId tid,
                            std::uint64_t slot) const

@@ -62,8 +62,6 @@ enum class RecoveryVerdict
     Failed,
 };
 
-const char *recoveryVerdictName(RecoveryVerdict verdict);
-
 /** Caller-selectable recovery behavior. */
 struct RecoveryOptions
 {

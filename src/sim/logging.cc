@@ -51,12 +51,6 @@ setLogCellLabel(std::string label)
     cellLabel = std::move(label);
 }
 
-const std::string &
-logCellLabel()
-{
-    return cellLabel;
-}
-
 namespace detail
 {
 

@@ -49,7 +49,6 @@ void setLogLevel(LogLevel level);
  * is thread-local; each sweep worker sets it per cell.
  */
 void setLogCellLabel(std::string label);
-const std::string &logCellLabel();
 
 namespace detail
 {

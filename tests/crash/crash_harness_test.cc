@@ -112,20 +112,6 @@ TEST(CrashHarness, NonAtomicViolationsAreDetected)
     EXPECT_GT(violations, 0u);
 }
 
-TEST(CrashHarness, StatsAccumulateAcrossCells)
-{
-    RecordedWorkload recorded = record(WorkloadKind::Queue);
-    CrashStats stats("crash");
-    CrashCellResult cell =
-        runCrashCell(recorded, HwDesign::IntelX86,
-                     PersistencyModel::Txn, smallConfig(), &stats);
-    EXPECT_EQ(stats.pointsTested.value(),
-              static_cast<double>(cell.pointsTested));
-    EXPECT_EQ(stats.pointsPassed.value(),
-              static_cast<double>(cell.pointsPassed));
-    EXPECT_EQ(stats.rolledBack.samples(), cell.pointsTested);
-}
-
 TEST(CrashHarness, ZeroBudgetDisablesInjection)
 {
     RecordedWorkload recorded = record(WorkloadKind::Queue, 1, 8);

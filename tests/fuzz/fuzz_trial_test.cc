@@ -299,6 +299,64 @@ TEST(FuzzTrial, PlantedBugIsCaughtAndShrunkToCausalHolds)
     fs::remove_all(dir);
 }
 
+TEST(FuzzRepro, RoundTripKeepsEveryKey)
+{
+    // Every key the format carries, each away from its default, so a
+    // key that serializeRepro drops or parseRepro ignores shows up.
+    FuzzRepro repro;
+    repro.spec.kind = WorkloadKind::Hashmap;
+    repro.spec.design = HwDesign::Hops;
+    repro.spec.model = PersistencyModel::Atlas;
+    repro.spec.logStyle = LogStyle::Redo;
+    repro.spec.numThreads = 3;
+    repro.spec.opsPerThread = 17;
+    repro.spec.experiment.engine.hopsEpochInterlock = true;
+    repro.spec.experiment.engine.plantedEpochBug = true;
+    repro.spec.experiment.engine.hopsStrictAdmission = true;
+    repro.spec.pmosan = true;
+    repro.spec.seed = 0xfeedbeef;
+    repro.tornWords = 5;
+    repro.spec.media.poisonLines = 1;
+    repro.spec.media.bitFlips = 2;
+    repro.spec.media.dropAdmissions = 3;
+    repro.spec.verifyChecksums = false;
+    repro.decisions = {{FuzzSite::StrandIssue, 1, 4, 250},
+                       {FuzzSite::MediaFlip, 0, 2, 0x1234}};
+    repro.violation = "first line\nsecond line";
+
+    std::string error;
+    auto parsed = parseRepro(serializeRepro(repro), &error);
+    ASSERT_TRUE(parsed.has_value()) << error;
+    const FuzzTrialSpec &spec = parsed->spec;
+    EXPECT_EQ(spec.kind, repro.spec.kind);
+    EXPECT_EQ(spec.design, repro.spec.design);
+    EXPECT_EQ(spec.model, repro.spec.model);
+    EXPECT_EQ(spec.logStyle, repro.spec.logStyle);
+    EXPECT_EQ(spec.numThreads, repro.spec.numThreads);
+    EXPECT_EQ(spec.opsPerThread, repro.spec.opsPerThread);
+    EXPECT_TRUE(spec.experiment.engine.hopsEpochInterlock);
+    EXPECT_TRUE(spec.experiment.engine.plantedEpochBug);
+    EXPECT_TRUE(spec.experiment.engine.hopsStrictAdmission);
+    EXPECT_EQ(spec.pmosan, repro.spec.pmosan);
+    EXPECT_EQ(spec.seed, repro.spec.seed);
+    EXPECT_EQ(parsed->tornWords, repro.tornWords);
+    EXPECT_EQ(spec.media.poisonLines, repro.spec.media.poisonLines);
+    EXPECT_EQ(spec.media.bitFlips, repro.spec.media.bitFlips);
+    EXPECT_EQ(spec.media.dropAdmissions,
+              repro.spec.media.dropAdmissions);
+    EXPECT_FALSE(spec.verifyChecksums);
+    EXPECT_EQ(parsed->decisions, repro.decisions);
+
+    // The file name carries the knobs that split a cell.
+    namespace fs = std::filesystem;
+    fs::path dir = fs::temp_directory_path() / "sw_repro_keys_test";
+    fs::remove_all(dir);
+    const std::string path = writeRepro(repro, dir.string());
+    EXPECT_EQ(fs::path(path).filename().string(),
+              "hashmap-hops-atlas-interlock-strict-redo-tfeedbeef.repro");
+    fs::remove_all(dir);
+}
+
 TEST(FuzzTrial, IntelWithoutThePlantedBugPasses)
 {
     // Sanity for the planted-bug test: the identical campaign with

@@ -24,7 +24,6 @@
 
 #include "core/experiment.hh"
 #include "core/observer_util.hh"
-#include "runtime/instrumentor.hh"
 #include "sanitizer/pmo_sanitizer.hh"
 
 namespace strand
@@ -32,42 +31,29 @@ namespace strand
 namespace
 {
 
-/** Streams and a system factory for one (workload, design, model). */
+/** A lowered workload and a system factory for one (design, model). */
 struct Rig
 {
     RecordedWorkload recorded;
-    InstrumentorParams ip;
-    std::vector<OpStream> streams;
-    /** Everything but the design, core count and layout. */
-    SystemConfig base;
+    LoweredWorkload lowered;
+    ExperimentConfig config;
 
     Rig(HwDesign design, PersistencyModel model,
-        unsigned opsPerThread = 12)
+        unsigned opsPerThread = 12,
+        LogStyle logStyle = LogStyle::Undo)
     {
         WorkloadParams params;
         params.numThreads = 3;
         params.opsPerThread = opsPerThread;
         params.seed = 29;
         recorded = recordWorkload(WorkloadKind::Hashmap, params);
-        ip.design = design;
-        ip.model = model;
-        ip.logStyle = LogStyle::Undo;
-        Instrumentor instr(ip);
-        streams = instr.lower(recorded.trace);
+        lowered = lowerWorkload(recorded, design, model, logStyle);
     }
 
     std::unique_ptr<System>
     buildSystem()
     {
-        SystemConfig cfg = base;
-        cfg.numCores = static_cast<unsigned>(streams.size());
-        cfg.design = ip.design;
-        cfg.layout = ip.layout;
-        auto sys = std::make_unique<System>(cfg);
-        sys->seedImage(recorded.preload);
-        auto copies = streams;
-        sys->loadStreams(std::move(copies));
-        return sys;
+        return strand::buildSystem(recorded, lowered, config);
     }
 };
 
@@ -256,11 +242,8 @@ TEST(SnapshotRestoreRedo, RedoLoweringRoundTrips)
 {
     // The redo log style takes a different lowering path; one design
     // suffices to keep it under the same determinism contract.
-    Rig rig(HwDesign::StrandWeaver, PersistencyModel::Txn);
-    InstrumentorParams redoIp = rig.ip;
-    redoIp.logStyle = LogStyle::Redo;
-    Instrumentor instr(redoIp);
-    rig.streams = instr.lower(rig.recorded.trace);
+    Rig rig(HwDesign::StrandWeaver, PersistencyModel::Txn, 12,
+            LogStyle::Redo);
 
     CapturedRun run(rig, 8);
     ASSERT_TRUE(run.captured);
@@ -309,8 +292,8 @@ TEST_P(SnapshotInFlight, EveryStatReplaysFromEachCapture)
     const auto [design, index] = GetParam();
     const Geometry geometry = geometries().at(index);
     Rig rig(design, PersistencyModel::Sfr, 60);
-    rig.base.warmCaches = geometry.warmCaches;
-    rig.base.caches = geometry.caches;
+    rig.config.baseSystem.warmCaches = geometry.warmCaches;
+    rig.config.baseSystem.caches = geometry.caches;
     const Fingerprint plain = plainRun(rig);
     for (unsigned at : geometry.captures) {
         const std::string label = "capture at admission " +

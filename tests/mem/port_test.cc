@@ -17,7 +17,6 @@
 
 #include "core/experiment.hh"
 #include "mem/port.hh"
-#include "runtime/instrumentor.hh"
 
 namespace strand
 {
@@ -202,8 +201,7 @@ traceHash(const std::vector<PersistRecord> &trace)
 struct PortRig
 {
     RecordedWorkload recorded;
-    InstrumentorParams ip;
-    std::vector<OpStream> streams;
+    LoweredWorkload lowered;
 
     PortRig()
     {
@@ -212,25 +210,14 @@ struct PortRig
         params.opsPerThread = 12;
         params.seed = 17;
         recorded = recordWorkload(WorkloadKind::Queue, params);
-        ip.design = HwDesign::StrandWeaver;
-        ip.model = PersistencyModel::Sfr;
-        ip.logStyle = LogStyle::Undo;
-        Instrumentor instr(ip);
-        streams = instr.lower(recorded.trace);
+        lowered = lowerWorkload(recorded, HwDesign::StrandWeaver,
+                                PersistencyModel::Sfr, LogStyle::Undo);
     }
 
     std::unique_ptr<System>
     buildSystem()
     {
-        SystemConfig cfg;
-        cfg.numCores = static_cast<unsigned>(streams.size());
-        cfg.design = ip.design;
-        cfg.layout = ip.layout;
-        auto sys = std::make_unique<System>(cfg);
-        sys->seedImage(recorded.preload);
-        auto copies = streams;
-        sys->loadStreams(std::move(copies));
-        return sys;
+        return strand::buildSystem(recorded, lowered, {});
     }
 };
 
