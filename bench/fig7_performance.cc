@@ -8,9 +8,17 @@
  * (StrandWeaver: 1.45x avg / up to 1.97x over Intel; 1.20x avg / up
  * to 1.55x over HOPS; NO-PQ 1.29x avg; SFR > TXN > ATLAS).
  *
+ * Figure 8 — CPU stalls as hardware enforces persist order — comes
+ * from the SFR cells of the same sweep: for each workload, the
+ * persist-induced dispatch stall cycles of every design normalized
+ * to Intel x86, plus the aggregate reduction the paper reports
+ * (StrandWeaver: 62.4% fewer stalls than Intel; the NO-PQ
+ * intermediate design: 52.3% fewer).
+ *
  * The 3 models x 8 workloads x 5 designs matrix is declared as one
  * SweepSpec and executed cell-parallel on SW_JOBS workers; results
- * also land in bench/out/fig7_performance.json.
+ * land in bench/out/fig7_performance.json, and the SFR cells alone
+ * in bench/out/fig8_stalls.json.
  */
 
 #include <cstdio>
@@ -24,7 +32,7 @@ int
 main(int argc, char **argv)
 {
     int rc = 0;
-    if (bench::handleArgs(argc, argv, "Figure 7 speedup comparison across designs and models", &rc))
+    if (bench::handleArgs(argc, argv, "Figure 7 speedups and Figure 8 persist stalls across designs and models", &rc))
         return rc;
     unsigned threads = benchThreads();
     unsigned ops = benchOpsPerThread(60);
@@ -53,17 +61,18 @@ main(int argc, char **argv)
                 "scale)\n\n",
                 threads, ops);
 
+    auto designColumn = [](const CellResult &cell) {
+        return cell.design == HwDesign::StrandWeaver
+                   ? std::string("strandwvr")
+                   : std::string(hwDesignName(cell.design));
+    };
     for (PersistencyModel model : allModels) {
         std::printf("[%s]\n", persistencyModelName(model));
         PivotOptions table;
         table.include = [model](const CellResult &cell) {
             return cell.model == model;
         };
-        table.column = [](const CellResult &cell) {
-            return cell.design == HwDesign::StrandWeaver
-                       ? std::string("strandwvr")
-                       : std::string(hwDesignName(cell.design));
-        };
+        table.column = designColumn;
         table.value = [](const CellResult &cell) {
             return cell.speedup;
         };
@@ -115,5 +124,47 @@ main(int argc, char **argv)
             bench::geomean(swPerModel[PersistencyModel::Atlas]));
         bench::rule(76);
     }
+
+    SweepResult stalls = result;
+    stalls.name = "fig8_stalls";
+    std::erase_if(stalls.cells, [](const CellResult &cell) {
+        return cell.model != PersistencyModel::Sfr;
+    });
+
+    std::printf("\nFigure 8: persist-ordering stall cycles, normalized "
+                "to Intel x86 (SFR model)\n");
+    PivotOptions table;
+    table.column = designColumn;
+    table.value = [&stalls](const CellResult &cell) {
+        const CellResult *base = stalls.find(cell.baseline);
+        if (!base || !base->ok || base->metrics.persistStalls <= 0)
+            return std::nan("");
+        return cell.metrics.persistStalls /
+               base->metrics.persistStalls;
+    };
+    table.geomeanRow = false;
+    printPivot(stalls, table);
+
+    std::map<HwDesign, double> totalStalls;
+    for (const CellResult &cell : stalls.cells)
+        if (cell.ok)
+            totalStalls[cell.design] += cell.metrics.persistStalls;
+
+    double base = totalStalls[HwDesign::IntelX86];
+    if (base > 0) {
+        double swReduction =
+            100.0 *
+            (1.0 - totalStalls[HwDesign::StrandWeaver] / base);
+        double nopqReduction =
+            100.0 *
+            (1.0 - totalStalls[HwDesign::NoPersistQueue] / base);
+        std::printf("StrandWeaver: %.1f%% fewer persist stalls than "
+                    "Intel x86 (paper: 62.4%%)\n",
+                    swReduction);
+        std::printf("NO-PQ:        %.1f%% fewer persist stalls than "
+                    "Intel x86 (paper: 52.3%%)\n",
+                    nopqReduction);
+    }
+    std::printf("\nwrote %s\n", writeSweepJson(stalls).c_str());
     return bench::finish(result);
 }

@@ -437,6 +437,8 @@ printPivot(const SweepResult &result, const PivotOptions &options)
 {
     panicIf(!options.column || !options.value,
             "printPivot requires column and value hooks");
+    constexpr int workloadWidth = 12;
+    constexpr int columnWidth = 10;
 
     // First-appearance orders over the included cells.
     std::vector<std::string> rows;
@@ -469,9 +471,8 @@ printPivot(const SweepResult &result, const PivotOptions &options)
     };
 
     const unsigned width =
-        options.workloadWidth +
-        static_cast<unsigned>(columns.size()) *
-            (options.columnWidth + 1);
+        workloadWidth +
+        static_cast<unsigned>(columns.size()) * (columnWidth + 1);
     auto rule = [&] {
         for (unsigned i = 0; i < width; ++i)
             std::fputc('-', stdout);
@@ -479,23 +480,21 @@ printPivot(const SweepResult &result, const PivotOptions &options)
     };
 
     rule();
-    std::printf("%-*s", options.workloadWidth, "workload");
+    std::printf("%-*s", workloadWidth, "workload");
     for (const std::string &column : columns)
-        std::printf(" %*s", options.columnWidth, column.c_str());
+        std::printf(" %*s", columnWidth, column.c_str());
     std::printf("\n");
     rule();
 
     auto printValue = [&](double value) {
-        if (std::isnan(value)) {
-            std::printf(" %*s", options.columnWidth, "-");
-        } else {
-            std::fputc(' ', stdout);
-            std::printf(options.valueFormat, value);
-        }
+        if (std::isnan(value))
+            std::printf(" %*s", columnWidth, "-");
+        else
+            std::printf(" %*.2f", columnWidth, value);
     };
 
     for (const std::string &row : rows) {
-        std::printf("%-*s", options.workloadWidth, row.c_str());
+        std::printf("%-*s", workloadWidth, row.c_str());
         for (const std::string &column : columns)
             printValue(lookup(row, column));
         std::printf("\n");
@@ -503,7 +502,7 @@ printPivot(const SweepResult &result, const PivotOptions &options)
     rule();
 
     if (options.geomeanRow && !rows.empty()) {
-        std::printf("%-*s", options.workloadWidth, options.meanLabel);
+        std::printf("%-*s", workloadWidth, "avg");
         for (const std::string &column : columns) {
             double logSum = 0;
             unsigned n = 0;

@@ -74,13 +74,8 @@ struct PivotOptions
      * print "-". Defaults hooks below cover the common speedup case.
      */
     std::function<double(const CellResult &)> value;
-    unsigned workloadWidth = 12;
-    unsigned columnWidth = 10;
-    /** printf format for one value (width must match columnWidth). */
-    const char *valueFormat = "%10.2f";
-    /** Append a per-column geometric-mean row labeled @p meanLabel. */
+    /** Append a per-column geometric-mean row labeled "avg". */
     bool geomeanRow = true;
-    const char *meanLabel = "avg";
 };
 
 /**

@@ -169,8 +169,9 @@ runCrashCell(const RecordedWorkload &recorded, HwDesign design,
     const bool pmosan =
         config.pmosan.value_or(envConfig().pmosan.value_or(false));
     // The paged scan is what makes forking cheap; the two-run oracle
-    // stays on the faithful per-word scan so the CI differential gate
-    // also cross-checks the two scans against each other.
+    // stays on the faithful per-slot page lookup so the CI
+    // differential gate also cross-checks the two scans' run
+    // arithmetic against each other.
     const CrashPointChecker checker{
         .oracle = oracle,
         .recovery = RecoveryManager{layout},

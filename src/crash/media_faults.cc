@@ -1,6 +1,7 @@
 #include "crash/media_faults.hh"
 
 #include <algorithm>
+#include <iterator>
 
 #include "sim/random.hh"
 
@@ -69,14 +70,16 @@ mediaFlipBit(MemoryImage &snapshot, const AdmissionRing &ring,
     if (lines.empty())
         return false;
     // Flippable words of an entry line: type, addr, value, checksum,
-    // globalSeq. seq aliases a tear; valid/commitMarker are the
-    // uncheckummable mutable commit words (see media_faults.hh).
-    static constexpr unsigned flipWords[] = {0, 1, 2, 3, 6};
+    // globalSeq. A flipped seq aliases a tear; valid/commitMarker are
+    // mutable commit words no checksum covers (see media_faults.hh).
+    static constexpr Addr flipFields[] = {
+        log_field::type, log_field::addr, log_field::value,
+        log_field::checksum, log_field::globalSeq};
     Addr line = lines[mixSeed(entropy, 1) % lines.size()];
-    unsigned word = flipWords[mixSeed(entropy, 2) % 5];
+    Addr field =
+        flipFields[mixSeed(entropy, 2) % std::size(flipFields)];
     unsigned bit = static_cast<unsigned>(mixSeed(entropy, 3) % 64);
-    snapshot.corruptWord(line + word * wordBytes,
-                         std::uint64_t{1} << bit);
+    snapshot.corruptWord(line + field, std::uint64_t{1} << bit);
     return true;
 }
 

@@ -44,58 +44,45 @@ makePersistEngine(HwDesign design, std::string name, EventQueue &eq,
                   const EngineConfig &config, stats::StatGroup *parent)
 {
     auto build = [&]() -> std::unique_ptr<PersistEngine> {
+        StrandEngineParams p;
         switch (design) {
           case HwDesign::IntelX86: {
-            IntelEngineParams p;
-            p.queueEntries = config.pqEntries;
-            p.adversary = config.adversary;
-            p.plantedEpochBug = config.plantedEpochBug;
+            IntelEngineParams intel;
+            intel.queueEntries = config.pqEntries;
+            intel.adversary = config.adversary;
+            intel.plantedEpochBug = config.plantedEpochBug;
             return std::make_unique<IntelEngine>(std::move(name), eq,
-                                                 core, hier, p, parent);
+                                                 core, hier, intel,
+                                                 parent);
           }
-          case HwDesign::NonAtomic: {
-            // The upper bound runs on StrandWeaver hardware; its
-            // stream simply omits the pairwise log/update ordering.
-            StrandEngineParams p = strandWeaverParams();
-            p.pqEntries = config.pqEntries;
-            p.sbu.numBuffers = config.strandBuffers;
-            p.sbu.entriesPerBuffer = config.entriesPerBuffer;
-            p.adversary = config.adversary;
-            p.sbu.adversary = config.adversary;
-            return std::make_unique<StrandEngine>(std::move(name), eq,
-                                                  core, hier, p, parent);
-          }
-          case HwDesign::Hops: {
-            StrandEngineParams p = hopsParams();
+          case HwDesign::Hops:
+            p = hopsParams();
             p.pqEntries = config.pqEntries;
             p.epochInterlock = config.hopsEpochInterlock;
             p.strictAdmission = config.hopsStrictAdmission;
-            p.adversary = config.adversary;
-            p.sbu.adversary = config.adversary;
-            return std::make_unique<StrandEngine>(std::move(name), eq,
-                                                  core, hier, p, parent);
-          }
-          case HwDesign::NoPersistQueue: {
-            StrandEngineParams p = noPersistQueueParams();
+            break;
+          case HwDesign::NoPersistQueue:
+            p = noPersistQueueParams();
             p.sbu.numBuffers = config.strandBuffers;
             p.sbu.entriesPerBuffer = config.entriesPerBuffer;
-            p.adversary = config.adversary;
-            p.sbu.adversary = config.adversary;
-            return std::make_unique<StrandEngine>(std::move(name), eq,
-                                                  core, hier, p, parent);
-          }
-          case HwDesign::StrandWeaver: {
-            StrandEngineParams p = strandWeaverParams();
+            break;
+          case HwDesign::StrandWeaver:
+          case HwDesign::NonAtomic:
+            // The NON-ATOMIC upper bound runs on StrandWeaver
+            // hardware; its stream simply omits the pairwise
+            // log/update ordering.
+            p = strandWeaverParams();
             p.pqEntries = config.pqEntries;
             p.sbu.numBuffers = config.strandBuffers;
             p.sbu.entriesPerBuffer = config.entriesPerBuffer;
-            p.adversary = config.adversary;
-            p.sbu.adversary = config.adversary;
-            return std::make_unique<StrandEngine>(std::move(name), eq,
-                                                  core, hier, p, parent);
-          }
+            break;
+          default:
+            panic("unknown hardware design");
         }
-        panic("unknown hardware design");
+        p.adversary = config.adversary;
+        p.sbu.adversary = config.adversary;
+        return std::make_unique<StrandEngine>(std::move(name), eq, core,
+                                              hier, p, parent);
     };
     auto engine = build();
     engine->setRecordCompletions(config.recordCompletionTicks);

@@ -6,21 +6,21 @@ namespace strand
 {
 
 RecoveryManager::EntryView
-RecoveryManager::readEntry(const MemoryImage &image, CoreId tid,
-                           std::uint64_t slot) const
+RecoveryManager::decodeEntry(const std::uint64_t *words, CoreId tid,
+                             std::uint64_t slot)
 {
-    Addr base = layout.entryAddr(tid, slot);
+    auto field = [words](Addr offset) {
+        return words[offset / wordBytes];
+    };
     EntryView view;
-    view.seq = image.readPersisted(base + log_field::seq);
-    view.type = static_cast<LogType>(
-        image.readPersisted(base + log_field::type));
-    view.addr = image.readPersisted(base + log_field::addr);
-    view.value = image.readPersisted(base + log_field::value);
-    view.checksum = image.readPersisted(base + log_field::checksum);
-    view.valid = image.readPersisted(base + log_field::valid) != 0;
-    view.commitMarker =
-        image.readPersisted(base + log_field::commitMarker) != 0;
-    view.globalSeq = image.readPersisted(base + log_field::globalSeq);
+    view.seq = field(log_field::seq);
+    view.type = static_cast<LogType>(field(log_field::type));
+    view.addr = field(log_field::addr);
+    view.value = field(log_field::value);
+    view.checksum = field(log_field::checksum);
+    view.valid = field(log_field::valid) != 0;
+    view.commitMarker = field(log_field::commitMarker) != 0;
+    view.globalSeq = field(log_field::globalSeq);
     view.slot = slot;
     view.tid = tid;
     // A Free type with any nonzero sibling word is impossible both
@@ -35,66 +35,6 @@ RecoveryManager::readEntry(const MemoryImage &image, CoreId tid,
     return view;
 }
 
-void
-RecoveryManager::gatherPaged(
-    const MemoryImage &image, CoreId tid,
-    const std::function<void(const EntryView &)> &consider) const
-{
-    // Entry lines never span pages (pageBytes % lineBytes == 0), so
-    // the region decomposes into page-sized runs of consecutive
-    // slots. An absent page is all zero background — every slot in
-    // it reads as LogType::Free — and is skipped without touching
-    // its 64 would-be entries; a present page serves all field reads
-    // straight from its word array, with unoccupied slots already
-    // holding the zero that readPersisted() would return.
-    constexpr unsigned wordsPerEntry = lineBytes / wordBytes;
-    std::uint64_t slot = 0;
-    while (slot < layout.entriesPerThread) {
-        Addr lineAddr = layout.entryAddr(tid, slot);
-        Addr pageOffset = lineAddr & (WordStore::pageBytes - 1);
-        std::uint64_t run =
-            (WordStore::pageBytes - pageOffset) / lineBytes;
-        run = std::min<std::uint64_t>(
-            run, layout.entriesPerThread - slot);
-        const WordStore::Page *page = image.persistedPage(lineAddr);
-        if (!page) {
-            slot += run;
-            continue;
-        }
-        unsigned wordSlot = WordStore::slotOf(lineAddr);
-        for (std::uint64_t i = 0; i < run;
-             ++i, ++slot, wordSlot += wordsPerEntry) {
-            const std::uint64_t *words = &page->words[wordSlot];
-            EntryView view;
-            view.type = static_cast<LogType>(
-                words[log_field::type / wordBytes]);
-            view.seq = words[log_field::seq / wordBytes];
-            view.addr = words[log_field::addr / wordBytes];
-            view.value = words[log_field::value / wordBytes];
-            view.checksum = words[log_field::checksum / wordBytes];
-            view.valid = words[log_field::valid / wordBytes] != 0;
-            view.commitMarker =
-                words[log_field::commitMarker / wordBytes] != 0;
-            view.globalSeq =
-                words[log_field::globalSeq / wordBytes];
-            if (view.type == LogType::Free) {
-                // All-zero is a genuinely never-used slot; anything
-                // else is the free-slot anomaly (see readEntry) and
-                // must reach consider() like any other damage.
-                if ((view.seq | view.addr | view.value |
-                     view.checksum | view.globalSeq) == 0 &&
-                    !view.valid && !view.commitMarker) {
-                    continue;
-                }
-                view.freeAnomaly = true;
-            }
-            view.slot = slot;
-            view.tid = tid;
-            consider(view);
-        }
-    }
-}
-
 RecoveryReport
 RecoveryManager::recover(MemoryImage &image, unsigned numThreads,
                          RecoveryScan scan,
@@ -102,6 +42,14 @@ RecoveryManager::recover(MemoryImage &image, unsigned numThreads,
 {
     RecoveryReport report;
     std::vector<EntryView> allLive;
+
+    // Invalidate an entry in the slot it was read from, so recovery
+    // is idempotent.
+    auto invalidate = [&](const EntryView &entry) {
+        image.writeDurable(
+            layout.entryAddr(entry.tid, entry.slot) + log_field::valid,
+            0);
+    };
 
     // Media-fault pre-pass: classify every poisoned line before any
     // interpretation. The metadata area is unrecoverable (head
@@ -181,15 +129,34 @@ RecoveryManager::recover(MemoryImage &image, unsigned numThreads,
                 live.push_back(entry);
         };
 
-        if (scan == RecoveryScan::Faithful) {
-            for (std::uint64_t slot = 0;
-                 slot < layout.entriesPerThread; ++slot) {
-                EntryView entry = readEntry(image, tid, slot);
+        // Entry lines never span pages (pageBytes % lineBytes == 0),
+        // so one page lookup can serve a run of consecutive slots:
+        // one slot for the Faithful scan, the rest of the page for
+        // the Paged one. An absent page is the all-zero background,
+        // where every slot reads as a never-used Free entry.
+        std::uint64_t slot = 0;
+        while (slot < layout.entriesPerThread) {
+            Addr lineAddr = layout.entryAddr(tid, slot);
+            std::uint64_t run = 1;
+            if (scan == RecoveryScan::Paged) {
+                Addr pageOffset = lineAddr & (WordStore::pageBytes - 1);
+                run = std::min<std::uint64_t>(
+                    (WordStore::pageBytes - pageOffset) / lineBytes,
+                    layout.entriesPerThread - slot);
+            }
+            const WordStore::Page *page = image.persistedPage(lineAddr);
+            if (!page) {
+                slot += run;
+                continue;
+            }
+            const std::uint64_t *words =
+                &page->words[WordStore::slotOf(lineAddr)];
+            for (std::uint64_t end = slot + run; slot < end;
+                 ++slot, words += wordsPerLine) {
+                EntryView entry = decodeEntry(words, tid, slot);
                 if (entry.type != LogType::Free || entry.freeAnomaly)
                     consider(entry);
             }
-        } else {
-            gatherPaged(image, tid, consider);
         }
 
         // Detected damage fences off the whole thread: its log
@@ -201,16 +168,19 @@ RecoveryManager::recover(MemoryImage &image, unsigned numThreads,
             continue;
         }
 
+        // Seqs of gate-passing entries map to distinct slots, so this
+        // order is total; every erase below keeps it.
+        std::sort(live.begin(), live.end(),
+                  [](const EntryView &a, const EntryView &b) {
+                      return a.seq < b.seq;
+                  });
+
         // Step 2 (Figure 6(b)): a crash during commit left a marker;
         // everything up to it is committed — finish invalidating.
         // Undo entries are simply dropped; redo entries of committed
         // regions are REPLAYED forward (their in-place updates may
         // not have persisted yet).
         if (committedUpTo > head) {
-            std::sort(live.begin(), live.end(),
-                      [](const EntryView &a, const EntryView &b) {
-                          return a.seq < b.seq;
-                      });
             for (auto it = live.begin(); it != live.end();) {
                 if (it->seq < committedUpTo) {
                     if (it->type == LogType::RedoStore) {
@@ -219,8 +189,7 @@ RecoveryManager::recover(MemoryImage &image, unsigned numThreads,
                         report.replays.emplace_back(it->addr,
                                                     it->value);
                     }
-                    Addr base = layout.entryAddr(tid, it->slot);
-                    image.writeDurable(base + log_field::valid, 0);
+                    invalidate(*it);
                     ++report.entriesCommittedDuringRecovery;
                     it = live.erase(it);
                 } else {
@@ -236,8 +205,7 @@ RecoveryManager::recover(MemoryImage &image, unsigned numThreads,
         // so dropping them is the correct outcome.
         for (auto it = live.begin(); it != live.end();) {
             if (it->type == LogType::RedoStore) {
-                Addr base = layout.entryAddr(tid, it->slot);
-                image.writeDurable(base + log_field::valid, 0);
+                invalidate(*it);
                 it = live.erase(it);
             } else {
                 ++it;
@@ -247,10 +215,6 @@ RecoveryManager::recover(MemoryImage &image, unsigned numThreads,
         // Frontier filtering (SFR/ATLAS batched commits): regions
         // whose end entry is below the pruner's durable commit
         // frontier are committed; their surviving entries are dead.
-        std::sort(live.begin(), live.end(),
-                  [](const EntryView &a, const EntryView &b) {
-                      return a.seq < b.seq;
-                  });
         std::vector<EntryView> uncommitted;
         std::vector<EntryView> pending;
         for (const EntryView &entry : live) {
@@ -294,9 +258,7 @@ RecoveryManager::recover(MemoryImage &image, unsigned numThreads,
             ++report.entriesRolledBack;
             report.rollbacks.emplace_back(entry.addr, entry.value);
         }
-        // Invalidate the entry so recovery is idempotent.
-        Addr base = layout.entryAddr(entry.tid, entry.slot);
-        image.writeDurable(base + log_field::valid, 0);
+        invalidate(entry);
     }
 
     // Poisoned heap lines stay unreadable — a partial rollback

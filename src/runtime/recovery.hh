@@ -31,7 +31,6 @@
 #define RUNTIME_RECOVERY_HH
 
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "mem/memory_image.hh"
@@ -133,27 +132,26 @@ struct RecoveryReport
 };
 
 /**
- * How recover() reads the per-thread log buffers. Both scans observe
- * identical values for every entry field — WordStore::get() reads
- * absent pages and unoccupied slots as zero, exactly the background
- * the paged scan assumes — so they produce identical reports; they
- * differ only in cost.
+ * How recover() reads the per-thread log buffers. Both scans walk
+ * each thread's log in one loop that takes every slot's words from
+ * its persisted page (MemoryImage::persistedPage; an absent page is
+ * the all-zero background) and decodes them in one place, so they
+ * produce identical reports. They differ only in how many
+ * consecutive slots one page lookup serves.
  */
 enum class RecoveryScan
 {
     /**
-     * One readPersisted() hash probe per field of every slot. The
-     * slow, trusted reference; the two-run crash harness and the
-     * fuzz replay oracle stay on it.
+     * Look each slot's page up on its own. The reference for the
+     * paged run arithmetic; the two-run crash harness and the
+     * classic fuzz replay stay on it.
      */
     Faithful,
     /**
-     * Page-cursor scan: walk each thread's log region a persisted
-     * page at a time, skipping absent pages (8 KiB of Free slots)
-     * outright and reading entry fields straight out of the page
-     * array. This is what makes forked crash exploration cheap —
-     * recovery dominates the per-point cost, and the scan dominates
-     * recovery.
+     * Look a page up once per run of slots up to the page end (at
+     * most 64), and skip an absent page's run outright. This is what
+     * makes forked crash exploration cheap: recovery dominates the
+     * per-point cost, and the scan dominates recovery.
      */
     Paged,
 };
@@ -196,17 +194,12 @@ class RecoveryManager
         bool freeAnomaly = false;
     };
 
-    EntryView readEntry(const MemoryImage &image, CoreId tid,
-                        std::uint64_t slot) const;
-
     /**
-     * RecoveryScan::Paged gather: walk @p tid's log region one
-     * persisted page at a time and hand every non-Free entry to
-     * @p consider.
+     * Decode the log entry whose eight words start at @p words, read
+     * from @p tid's log slot @p slot.
      */
-    void gatherPaged(
-        const MemoryImage &image, CoreId tid,
-        const std::function<void(const EntryView &)> &consider) const;
+    static EntryView decodeEntry(const std::uint64_t *words, CoreId tid,
+                                 std::uint64_t slot);
 
     LogLayout layout;
 };

@@ -38,9 +38,57 @@ class RecoveryFixture : public ::testing::Test
         img.writeDurable(base + log_field::commitMarker, cm ? 1 : 0);
     }
 
+    /**
+     * Recover copies of img with both scans and demand identical
+     * reports, field by field, and identical recovered images.
+     * @return the Faithful scan's report.
+     */
+    RecoveryReport
+    recoverWithBothScans(unsigned numThreads)
+    {
+        MemoryImage faithfulImg = img;
+        MemoryImage pagedImg = img;
+        RecoveryReport faithful =
+            mgr.recover(faithfulImg, numThreads, RecoveryScan::Faithful);
+        RecoveryReport paged =
+            mgr.recover(pagedImg, numThreads, RecoveryScan::Paged);
+
+        EXPECT_EQ(paged.entriesRolledBack, faithful.entriesRolledBack);
+        EXPECT_EQ(paged.redoEntriesReplayed,
+                  faithful.redoEntriesReplayed);
+        EXPECT_EQ(paged.entriesCommittedDuringRecovery,
+                  faithful.entriesCommittedDuringRecovery);
+        EXPECT_EQ(paged.threadsWithUncommittedWork,
+                  faithful.threadsWithUncommittedWork);
+        EXPECT_EQ(paged.tornEntriesSkipped, faithful.tornEntriesSkipped);
+        EXPECT_EQ(paged.verdict, faithful.verdict);
+        EXPECT_EQ(paged.corruptEntriesQuarantined,
+                  faithful.corruptEntriesQuarantined);
+        EXPECT_EQ(paged.poisonedEntriesQuarantined,
+                  faithful.poisonedEntriesQuarantined);
+        EXPECT_EQ(paged.quarantinedThreads, faithful.quarantinedThreads);
+        EXPECT_EQ(paged.quarantinedAddrs, faithful.quarantinedAddrs);
+        EXPECT_EQ(paged.rollbacks, faithful.rollbacks);
+        EXPECT_EQ(paged.replays, faithful.replays);
+
+        // Recovered persisted images are word-for-word identical.
+        EXPECT_EQ(persistedWords(pagedImg), persistedWords(faithfulImg));
+        return faithful;
+    }
+
+    static std::map<Addr, std::uint64_t>
+    persistedWords(const MemoryImage &image)
+    {
+        std::map<Addr, std::uint64_t> words;
+        image.forEachPersisted([&](Addr addr, std::uint64_t value) {
+            words.emplace(addr, value);
+        });
+        return words;
+    }
+
     LogLayout layout;
     MemoryImage img;
-    RecoveryManager mgr{LogLayout{}};
+    RecoveryManager mgr{layout};
 };
 
 TEST_F(RecoveryFixture, CleanLogRecoversNothing)
@@ -174,7 +222,7 @@ TEST_F(RecoveryFixture, MultipleThreadsRecoverIndependently)
 TEST_F(RecoveryFixture, PagedScanMatchesFaithfulScan)
 {
     // The forked harness leans on RecoveryScan::Paged being
-    // observationally identical to the word-by-word Faithful scan.
+    // observationally identical to the per-slot Faithful scan.
     // Build a log exercising every gather-path branch — valid
     // rollbacks, invalidated entries, an interrupted commit, a stale
     // lap entry, a torn seq/slot mismatch, wrapped seqs, and slots
@@ -202,38 +250,12 @@ TEST_F(RecoveryFixture, PagedScanMatchesFaithfulScan)
     writeEntry(3, wrapped, LogType::Store, dataA, 33, true);
     writeEntry(3, wrapped + 2000, LogType::Store, dataB, 44, true);
 
-    MemoryImage faithfulImg = img;
-    MemoryImage pagedImg = img;
-    auto faithful =
-        mgr.recover(faithfulImg, 4, RecoveryScan::Faithful);
-    auto paged = mgr.recover(pagedImg, 4, RecoveryScan::Paged);
-
-    EXPECT_EQ(paged.entriesRolledBack, faithful.entriesRolledBack);
-    EXPECT_EQ(paged.redoEntriesReplayed,
-              faithful.redoEntriesReplayed);
-    EXPECT_EQ(paged.entriesCommittedDuringRecovery,
-              faithful.entriesCommittedDuringRecovery);
-    EXPECT_EQ(paged.threadsWithUncommittedWork,
-              faithful.threadsWithUncommittedWork);
-    EXPECT_EQ(paged.tornEntriesSkipped, faithful.tornEntriesSkipped);
-    EXPECT_EQ(paged.rollbacks, faithful.rollbacks);
-    EXPECT_EQ(paged.replays, faithful.replays);
+    RecoveryReport faithful = recoverWithBothScans(4);
 
     // The scans actually hit the interesting branches.
     EXPECT_GT(faithful.entriesRolledBack, 0u);
     EXPECT_GT(faithful.entriesCommittedDuringRecovery, 0u);
     EXPECT_GT(faithful.tornEntriesSkipped, 0u);
-
-    // Recovered persisted images are word-for-word identical.
-    std::map<Addr, std::uint64_t> faithfulWords, pagedWords;
-    faithfulImg.forEachPersisted(
-        [&](Addr addr, std::uint64_t value) {
-            faithfulWords.emplace(addr, value);
-        });
-    pagedImg.forEachPersisted([&](Addr addr, std::uint64_t value) {
-        pagedWords.emplace(addr, value);
-    });
-    EXPECT_EQ(pagedWords, faithfulWords);
 }
 
 TEST_F(RecoveryFixture, ChecksumCatchesBitFlip)
@@ -371,35 +393,85 @@ TEST_F(RecoveryFixture, PagedScanMatchesFaithfulScanUnderMediaDamage)
                      5); // free-slot anomaly on an absent-page slot
     img.poisonLine(dataB);
 
-    MemoryImage faithfulImg = img;
-    MemoryImage pagedImg = img;
-    auto faithful =
-        mgr.recover(faithfulImg, 2, RecoveryScan::Faithful);
-    auto paged = mgr.recover(pagedImg, 2, RecoveryScan::Paged);
-
-    EXPECT_EQ(paged.verdict, faithful.verdict);
-    EXPECT_EQ(paged.corruptEntriesQuarantined,
-              faithful.corruptEntriesQuarantined);
-    EXPECT_EQ(paged.poisonedEntriesQuarantined,
-              faithful.poisonedEntriesQuarantined);
-    EXPECT_EQ(paged.quarantinedThreads, faithful.quarantinedThreads);
-    EXPECT_EQ(paged.quarantinedAddrs, faithful.quarantinedAddrs);
-    EXPECT_EQ(paged.entriesRolledBack, faithful.entriesRolledBack);
-    EXPECT_EQ(paged.rollbacks, faithful.rollbacks);
+    RecoveryReport faithful = recoverWithBothScans(2);
 
     EXPECT_EQ(faithful.verdict, RecoveryVerdict::Degraded);
     EXPECT_EQ(faithful.corruptEntriesQuarantined, 2u);
     ASSERT_EQ(faithful.quarantinedThreads.size(), 2u);
+}
 
-    std::map<Addr, std::uint64_t> faithfulWords, pagedWords;
-    faithfulImg.forEachPersisted(
-        [&](Addr addr, std::uint64_t value) {
-            faithfulWords.emplace(addr, value);
-        });
-    pagedImg.forEachPersisted([&](Addr addr, std::uint64_t value) {
-        pagedWords.emplace(addr, value);
-    });
-    EXPECT_EQ(pagedWords, faithfulWords);
+/**
+ * A log of 100 entries per thread: thread 0's log ends 36 lines into
+ * a page, so every other thread's log starts mid-page and the paged
+ * scan's runs are clamped at a log's end as well as at a page's.
+ */
+class MidPageLogRecovery : public RecoveryFixture
+{
+  protected:
+    MidPageLogRecovery()
+    {
+        layout.entriesPerThread = 100;
+        mgr = RecoveryManager{layout};
+    }
+
+    /** @return the log page holding @p tid's slot @p slot. */
+    Addr
+    pageOf(CoreId tid, std::uint64_t slot) const
+    {
+        return WordStore::pageBase(layout.entryAddr(tid, slot));
+    }
+};
+
+TEST_F(MidPageLogRecovery, PagedScanMatchesFaithfulScan)
+{
+    ASSERT_EQ(WordStore::slotOf(layout.logBase(1)),
+              36 * wordsPerLine);
+    constexpr Addr dataC = dataB + 0x40;
+    constexpr Addr dataD = dataB + 0x80;
+    img.writeDurable(dataA, 99);
+    img.writeDurable(dataB, 98);
+    img.writeDurable(dataC, 97);
+    img.writeDurable(dataD, 96);
+
+    // Thread 0: a committed region straddling the page boundary at
+    // slot 64 (a redo entry replays, the rest is invalidated), then
+    // an uncommitted store, and a store in the log's last slot, where
+    // the paged run is clamped to the log's end.
+    ASSERT_NE(pageOf(0, 63), pageOf(0, 64));
+    writeEntry(0, 62, LogType::Store, dataA, 1, true);
+    writeEntry(0, 63, LogType::RedoStore, dataC, 5, true);
+    writeEntry(0, 64, LogType::TxEnd, 0, 0, true, /*cm=*/true);
+    writeEntry(0, 65, LogType::Store, dataB, 7, true);
+    writeEntry(0, 99, LogType::Store, dataD, 9, true);
+
+    // Thread 1: wrapped seqs on both sides of the page boundary
+    // between its slots 27 and 28, plus stale lap content below head.
+    ASSERT_NE(pageOf(1, 27), pageOf(1, 28));
+    std::uint64_t lap = layout.entriesPerThread;
+    img.writeDurable(layout.headPtrAddr(1), lap + 27);
+    writeEntry(1, 26, LogType::Store, dataA, 11, true);
+    writeEntry(1, lap + 27, LogType::Store, dataB, 12, true);
+    writeEntry(1, lap + 28, LogType::Store, dataC, 13, true);
+
+    // Thread 2: a torn entry (its seq does not map back to its slot)
+    // and a store in its last slot.
+    writeEntry(2, 5, LogType::Store, dataD, 22, true);
+    img.writeDurable(layout.entryAddr(2, 5) + log_field::seq, 6);
+    writeEntry(2, 99, LogType::Store, dataA, 23, true);
+
+    // Thread 3: one store past a whole absent page of its log.
+    writeEntry(3, 90, LogType::Store, dataB, 31, true);
+    ASSERT_EQ(pageOf(3, 20), pageOf(3, 83));
+    ASSERT_EQ(img.persistedPage(pageOf(3, 20)), nullptr);
+
+    RecoveryReport faithful = recoverWithBothScans(4);
+
+    EXPECT_EQ(faithful.verdict, RecoveryVerdict::Full);
+    EXPECT_EQ(faithful.entriesCommittedDuringRecovery, 3u);
+    EXPECT_EQ(faithful.redoEntriesReplayed, 1u);
+    EXPECT_EQ(faithful.entriesRolledBack, 6u);
+    EXPECT_EQ(faithful.tornEntriesSkipped, 1u);
+    EXPECT_EQ(faithful.threadsWithUncommittedWork, 4u);
 }
 
 } // namespace
