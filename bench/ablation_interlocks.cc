@@ -49,8 +49,8 @@ main(int argc, char **argv)
         without.variant = "no-interlocks";
         without.config.baseSystem.caches.persistInterlocks = false;
         // Without the interlocks crash consistency is forfeit by
-        // design, so skip validation (it would trip under
-        // SW_CRASH_POINTS — correctly, but that is the point being
+        // design, so skip validation (the post-run invariant check
+        // could trip — correctly, but that is the point being
         // ablated).
         without.validate = false;
     }

@@ -100,8 +100,8 @@ envKnobs()
         {"SW_OPS", ">= 1", "per-bench default",
          "operations per program thread"},
         {"SW_THREADS", ">= 1", "8 (Table I)", "program threads"},
-        {"SW_CRASH_POINTS", ">= 0", "0 (off)",
-         "crash points injected per validated experiment"},
+        {"SW_CRASH_POINTS", ">= 0", "bench default",
+         "crash points injected per crash cell"},
         {"SW_JOBS", ">= 1", "hardware concurrency",
          "sweep worker threads (1 = serial; output identical)"},
         {"SW_TORN_WORDS", "0..7", "unset (no tearing)",

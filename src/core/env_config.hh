@@ -9,8 +9,8 @@
  *
  *   SW_OPS          operations per thread (>= 1)
  *   SW_THREADS      program threads (>= 1)
- *   SW_CRASH_POINTS crash points injected per validated experiment
- *                   (0 disables injection)
+ *   SW_CRASH_POINTS crash points injected per crash cell
+ *                   (>= 0; crash_matrix default 16)
  *   SW_JOBS         sweep worker threads (>= 1; default: hardware
  *                   concurrency; 1 reproduces serial execution)
  *   SW_TORN_WORDS   torn-cacheline injection: admit only this many

@@ -1,7 +1,6 @@
 #include "core/experiment.hh"
 
 #include "core/env_config.hh"
-#include "crash/crash_harness.hh"
 #include "sanitizer/pmo_sanitizer.hh"
 
 namespace strand
@@ -125,28 +124,6 @@ runExperiment(const RecordedWorkload &recorded, HwDesign design,
                 persistencyModelName(model), problem);
     }
 
-    if (unsigned crashPoints = benchCrashPoints(); validate &&
-                                                   crashPoints > 0) {
-        CrashHarnessConfig crashCfg;
-        crashCfg.pointBudget = crashPoints;
-        crashCfg.seed = benchCrashSeed(crashCfg.seed);
-        crashCfg.logStyle = config.logStyle;
-        crashCfg.experiment = config;
-        crashCfg.pmosan = config.pmosan;
-        CrashCellResult cell =
-            runCrashCell(recorded, design, model, crashCfg);
-        metrics.hostEvents += cell.hostEvents;
-        metrics.simOps += cell.simOps;
-        panicIf(design != HwDesign::NonAtomic && !cell.allPassed(),
-                "crash-consistency violation in {} under {}/{}: "
-                "{}/{} crash points failed; first: {}",
-                recorded.workload->name(), hwDesignName(design),
-                persistencyModelName(model),
-                cell.pointsTested - cell.pointsPassed,
-                cell.pointsTested,
-                cell.failures.empty() ? std::string("?")
-                                      : cell.failures.front().violation);
-    }
     return metrics;
 }
 

@@ -158,11 +158,9 @@ unsigned benchOpsPerThread(unsigned fallback = 220);
 unsigned benchThreads(unsigned fallback = 8);
 
 /**
- * Crash points to inject per experiment, overridable via env
- * SW_CRASH_POINTS. When non-zero, runExperiment follows each
- * validated timing run with crash-point fault injection (see
- * crash/crash_harness.hh) and panics on recovery violations for
- * every design except NON-ATOMIC.
+ * Crash points to inject per crash cell, overridable via env
+ * SW_CRASH_POINTS: the point budget crash_matrix gives its Crash
+ * cells (see crash/crash_harness.hh). Timing runs never inject.
  */
 unsigned benchCrashPoints(unsigned fallback = 0);
 

@@ -117,8 +117,7 @@ CrashPointChecker::check(
     // reasons over exactly the state recovery sees.
     strike(snapshot);
     std::vector<bool> committed = oracle.committedRegions(snapshot);
-    result.report =
-        recovery.recover(snapshot, programThreads, scan, options);
+    result.report = recovery.recover(snapshot, programThreads, options);
 
     if (result.report.verdict == RecoveryVerdict::Failed) {
         result.violation = "recovery FAILED: metadata area poisoned";
@@ -168,15 +167,10 @@ runCrashCell(const RecordedWorkload &recorded, HwDesign design,
         config.fork.value_or(envConfig().crashFork.value_or(false));
     const bool pmosan =
         config.pmosan.value_or(envConfig().pmosan.value_or(false));
-    // The paged scan is what makes forking cheap; the two-run oracle
-    // stays on the faithful per-slot page lookup so the CI
-    // differential gate also cross-checks the two scans' run
-    // arithmetic against each other.
     const CrashPointChecker checker{
         .oracle = oracle,
         .recovery = RecoveryManager{layout},
         .programThreads = recorded.params.numThreads,
-        .scan = forked ? RecoveryScan::Paged : RecoveryScan::Faithful,
         .options = {.verifyChecksums = config.verifyChecksums},
         .workload = recorded.workload.get()};
 
@@ -271,7 +265,8 @@ runCrashCell(const RecordedWorkload &recorded, HwDesign design,
     if (forked) {
         // Warm run: enumerate crash points AND capture the pre-image
         // of every ADR admission. The admission observer fires right
-        // after persistLine(), so lastAdmissionUndo() is exactly this
+        // after persistLine(), so lastAdmissionUndo() — the newest
+        // entry of the image's admission ring — is exactly this
         // admission's delta.
         std::vector<Tick> enumerated;
         struct AdmitDelta
@@ -354,24 +349,18 @@ runCrashCell(const RecordedWorkload &recorded, HwDesign design,
                 machine.undoAdmission(admits.back().undo);
                 admits.pop_back();
             }
-            machine.setLastAdmission(
-                admits.empty() ? MemoryImage::AdmissionUndo{}
-                               : admits.back().undo);
-            // Media faults draw partial-drain and content targets
-            // from the admission ring; restore the ring a crash at
-            // this tick would have left so both harness modes pick
-            // identical fault candidates.
-            if (config.media.any()) {
-                AdmissionRing ring;
-                std::size_t start =
-                    admits.size() > MemoryImage::admissionRingDepth
-                        ? admits.size() -
-                              MemoryImage::admissionRingDepth
-                        : 0;
-                for (std::size_t i = start; i < admits.size(); ++i)
-                    ring.push_back(admits[i].undo);
-                machine.setRecentAdmissions(std::move(ring));
-            }
+            // Restore the admission ring a crash at this tick would
+            // have left. Its newest entry is the admission a torn
+            // clone tears, and media faults draw partial-drain and
+            // content targets from all of it, so both harness modes
+            // tear the same line and pick identical fault candidates.
+            const std::size_t start =
+                admits.size() -
+                std::min(admits.size(), MemoryImage::admissionRingDepth);
+            AdmissionRing ring;
+            for (std::size_t i = start; i < admits.size(); ++i)
+                ring.push_back(admits[i].undo);
+            machine.setRecentAdmissions(std::move(ring));
             outcomes.push_back(evaluate(machine, when));
         }
         for (auto it = outcomes.rbegin(); it != outcomes.rend();

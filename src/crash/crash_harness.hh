@@ -31,10 +31,11 @@
  * O(run + points x recovery) instead of O(points x run). A crash
  * point "at tick T" means the persisted state after every admission
  * with when <= T in both modes (injection runs at EventPriority::Stat,
- * admissions at MemoryResponse), and the point plan is shared, so
- * verdicts are bit-identical between the modes at a fixed seed; the
- * two-run mode is retained as the slow trusted oracle (CI diffs the
- * two JSON outputs).
+ * admissions at MemoryResponse), and the point plan and the check
+ * (CrashPointChecker) are shared, so verdicts are bit-identical
+ * between the modes at a fixed seed; the two-run mode is retained as
+ * the slow trusted oracle for the rewind (CI diffs the two JSON
+ * outputs).
  *
  * The NON-ATOMIC design is expected to fail these checks (it omits
  * the log/update persist ordering); the harness records its
@@ -172,7 +173,6 @@ struct CrashPointChecker
     const CrashOracle &oracle;
     RecoveryManager recovery;
     unsigned programThreads = 0;
-    RecoveryScan scan = RecoveryScan::Faithful;
     RecoveryOptions options;
     /** Structural invariants held to FULL recoveries; may be null. */
     const Workload *workload = nullptr;
@@ -182,9 +182,10 @@ struct CrashPointChecker
      * clones that state, tearing the newest admission down to its
      * first @p tornWords written words when tornWords < wordsPerLine,
      * and lets @p strike apply media faults to the clone. Then the
-     * oracle classifies regions, recovery runs on the clone, and the
-     * result must pass the oracle and, for a FULL verdict, the
-     * workload's invariants. @p machine is never written.
+     * oracle classifies regions, recovery runs on the clone (the
+     * paged log scan), and the result must pass the oracle and, for
+     * a FULL verdict, the workload's invariants. @p machine is never
+     * written.
      */
     CrashPointCheck
     check(const MemoryImage &machine, unsigned tornWords,

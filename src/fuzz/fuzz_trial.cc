@@ -76,16 +76,15 @@ struct BranchPrefix
 /**
  * Run one system under @p adv with crash-recovery injection at every
  * admission and after completion. The shared core of the replay run
- * (replaying adversary, faithful scan) and of the forked fast path
- * (recording adversary, paged scan). A non-null @p probe with a
- * branch budget additionally snapshots the machine at power-of-two
- * adversary query counts and, when the main schedule passes, explores
- * @c probe->branches reseeded suffixes from the older capture.
+ * (replaying adversary) and of the forked fast path (recording
+ * adversary). A non-null @p probe with a branch budget additionally
+ * snapshots the machine at power-of-two adversary query counts and,
+ * when the main schedule passes, explores @c probe->branches
+ * reseeded suffixes from the older capture.
  */
 FuzzReplayOutcome
 runWithInjection(const FuzzTrialContext &ctx, DrainAdversary &adv,
-                 unsigned tornWords, RecoveryScan scan,
-                 BranchProbe *probe = nullptr)
+                 unsigned tornWords, BranchProbe *probe = nullptr)
 {
     FuzzReplayOutcome outcome;
     const FuzzTrialSpec &spec = ctx.spec;
@@ -100,7 +99,6 @@ runWithInjection(const FuzzTrialContext &ctx, DrainAdversary &adv,
         .oracle = oracle,
         .recovery = RecoveryManager{layout},
         .programThreads = ctx.recorded.params.numThreads,
-        .scan = scan,
         .options = {.verifyChecksums = spec.verifyChecksums},
         .workload = ctx.recorded.workload.get()};
 
@@ -288,8 +286,7 @@ replayDecisions(const FuzzTrialContext &ctx, const DecisionLog &log,
                 unsigned tornWords)
 {
     DrainAdversary adv = DrainAdversary::replaying(log);
-    return runWithInjection(ctx, adv, tornWords,
-                            RecoveryScan::Faithful);
+    return runWithInjection(ctx, adv, tornWords);
 }
 
 FuzzTrialResult
@@ -326,9 +323,8 @@ runFuzzTrial(const FuzzTrialSpec &spec)
         // attached. The injection observers are pure (they clone the
         // image and recover the clone), so the adversary sees the
         // schedule of a recording-only run and logs the identical
-        // decisions; the paged recovery scan keeps the per-admission
-        // checks cheap. A passing trial is done after this single
-        // run — roughly half the classic wall-clock.
+        // decisions. A passing trial is done after this single run —
+        // roughly half the classic wall-clock.
         AdversaryParams ap = spec.adversary;
         ap.seed = ctx.adversarySeed;
         DrainAdversary adv = DrainAdversary::recording(ap);
@@ -339,8 +335,7 @@ runFuzzTrial(const FuzzTrialSpec &spec)
         // sub-seeds (streams 1..3).
         probe.seedBase = mixSeed(ctx.adversarySeed, 0x5eed);
         FuzzReplayOutcome fast =
-            runWithInjection(ctx, adv, result.tornWords,
-                             RecoveryScan::Paged, &probe);
+            runWithInjection(ctx, adv, result.tornWords, &probe);
         result.decisions = adv.log();
         result.queries = adv.queriesSeen();
         result.hostEvents += probe.hostEvents;
@@ -352,9 +347,9 @@ runFuzzTrial(const FuzzTrialSpec &spec)
             return result;
         }
         // Confirm the failure through the oracle path: replay its
-        // full decision log from tick 0 with the faithful scan,
-        // exactly what the shrinker will do. The replay must
-        // reproduce the failing run's persist trace bit for bit.
+        // full decision log from tick 0, exactly what the shrinker
+        // will do. The replay must reproduce the failing run's
+        // persist trace bit for bit.
         result.hostEvents += fast.hostEvents;
         result.simOps += fast.simOps;
         std::uint64_t reference = fast.traceHash;

@@ -60,11 +60,10 @@ struct FuzzTrialSpec
     /**
      * Forked-trial fast path: run the recording pass WITH injection
      * attached (the observers are pure, so the schedule is the one a
-     * recording-only run produces) and the cheap paged recovery
-     * scan, skipping the replay for passing trials. A failing trial
-     * falls back to the classic record+replay pair — faithful scan,
-     * divergence check — so campaign failures remain replayable from
-     * (seed, log) and shrinkable exactly as in classic mode. The
+     * recording-only run produces), skipping the replay for passing
+     * trials. A failing trial falls back to the classic replay and
+     * its divergence check, so campaign failures remain replayable
+     * from (seed, log) and shrinkable exactly as in classic mode. The
      * trade-off: passing trials skip the replay-divergence check.
      * Unset defers to SW_CRASH_FORK.
      */

@@ -200,10 +200,11 @@ class MemoryImage
     /**
      * Pre-image of one ADR admission: which words the admission
      * wrote, and what each of them held in the persisted view just
-     * before. Recorded by persistLine() for torn-cacheline injection
-     * (clonePersistedTorn()); the forked crash harness additionally
-     * collects one per admission so a final image can be rewound
-     * admission by admission (undoAdmission()).
+     * before. persistLine() keeps the newest ones in the admission
+     * ring, for torn-cacheline injection (clonePersistedTorn()) and
+     * media faults; the forked crash harness additionally collects
+     * one per admission so a final image can be rewound admission by
+     * admission (undoAdmission()).
      */
     struct AdmissionUndo
     {
@@ -259,35 +260,35 @@ class MemoryImage
     /**
      * Apply a snapshot to the persisted view. Called by the PM
      * controller at ADR admission, the point of persistence. The
-     * admission's pre-image is remembered so torn-cacheline fault
-     * injection can re-crash with only part of this line durable
-     * (see clonePersistedTorn()).
+     * admission's pre-image joins the admission ring, so
+     * torn-cacheline fault injection can re-crash with only part of
+     * this line durable (see clonePersistedTorn()).
      */
     void
     persistLine(const LineData &data)
     {
         panicIf(!isPersistentAddr(data.lineAddr) && data.validMask != 0,
                 "persist to non-PM address {}", data.lineAddr);
-        lastAdmission.lineAddr = data.lineAddr;
-        lastAdmission.writtenMask = data.validMask;
-        lastAdmission.prevValidMask = 0;
-        if (data.validMask == 0) {
-            pushAdmission(lastAdmission);
-            return;
-        }
-        WordStore::Page &page = persisted.touchPage(data.lineAddr);
-        unsigned base = WordStore::slotOf(data.lineAddr);
-        for (unsigned i = 0; i < wordsPerLine; ++i) {
-            if (!data.valid(i))
-                continue;
-            if (WordStore::occupied(page, base + i)) {
-                lastAdmission.prevWords[i] = page.words[base + i];
-                lastAdmission.prevValidMask |=
-                    static_cast<std::uint8_t>(1u << i);
+        AdmissionUndo undo;
+        undo.lineAddr = data.lineAddr;
+        undo.writtenMask = data.validMask;
+        if (data.validMask != 0) {
+            WordStore::Page &page = persisted.touchPage(data.lineAddr);
+            unsigned base = WordStore::slotOf(data.lineAddr);
+            for (unsigned i = 0; i < wordsPerLine; ++i) {
+                if (!data.valid(i))
+                    continue;
+                if (WordStore::occupied(page, base + i)) {
+                    undo.prevWords[i] = page.words[base + i];
+                    undo.prevValidMask |=
+                        static_cast<std::uint8_t>(1u << i);
+                }
+                persisted.setSlot(page, base + i, data.words[i]);
             }
-            persisted.setSlot(page, base + i, data.words[i]);
         }
-        pushAdmission(lastAdmission);
+        if (admissionRing.size() >= admissionRingDepth)
+            admissionRing.erase(admissionRing.begin());
+        admissionRing.push_back(undo);
     }
 
     /**
@@ -365,20 +366,9 @@ class MemoryImage
     clonePersistedTorn(std::uint8_t admitMask) const
     {
         MemoryImage snapshot = clonePersisted();
-        for (unsigned i = 0; i < wordsPerLine; ++i) {
-            if (!(lastAdmission.writtenMask & (1u << i)) ||
-                (admitMask & (1u << i))) {
-                continue;
-            }
-            Addr wa = lastAdmission.lineAddr + i * wordBytes;
-            if (lastAdmission.prevValidMask & (1u << i)) {
-                snapshot.persisted.set(wa, lastAdmission.prevWords[i]);
-                snapshot.arch.set(wa, lastAdmission.prevWords[i]);
-            } else {
-                snapshot.persisted.erase(wa);
-                snapshot.arch.erase(wa);
-            }
-        }
+        AdmissionUndo torn = lastAdmissionUndo();
+        torn.writtenMask &= static_cast<std::uint8_t>(~admitMask);
+        snapshot.undoAdmission(torn);
         return snapshot;
     }
 
@@ -386,27 +376,31 @@ class MemoryImage
     std::uint8_t
     lastAdmissionMask() const
     {
-        return lastAdmission.writtenMask;
-    }
-
-    /** Pre-image of the most recent ADR admission. */
-    const AdmissionUndo &
-    lastAdmissionUndo() const
-    {
-        return lastAdmission;
+        return lastAdmissionUndo().writtenMask;
     }
 
     /**
-     * Overwrite the remembered last admission. The forked crash
-     * harness rewinds a final image admission by admission; after
-     * each rewind the previous admission in the chain becomes the
-     * "most recent" one, so torn clones at the rewound point tear
-     * the right line.
+     * Pre-image of the most recent ADR admission: the newest entry
+     * of the admission ring (an empty record if there is none).
+     */
+    const AdmissionUndo &
+    lastAdmissionUndo() const
+    {
+        static const AdmissionUndo none;
+        return admissionRing.empty() ? none : admissionRing.back();
+    }
+
+    /**
+     * Make @p undo the image's only remembered admission, replacing
+     * the admission ring. For a caller that rewinds an image but
+     * tracks only the newest admission; one that needs media faults
+     * to draw from the whole ring restores it with
+     * setRecentAdmissions() instead.
      */
     void
     setLastAdmission(const AdmissionUndo &undo)
     {
-        lastAdmission = undo;
+        admissionRing.assign(1, undo);
     }
 
     /**
@@ -444,10 +438,11 @@ class MemoryImage
     static constexpr std::size_t admissionRingDepth = 8;
 
     /**
-     * The last admissionRingDepth ADR admissions, oldest first.
-     * Includes empty-mask admissions so the ring lines up one-to-one
-     * with the forked harness's admission callback stream (required
-     * for fork/two-run fault parity).
+     * The last admissionRingDepth ADR admissions, oldest first; the
+     * newest is the one torn clones tear. Includes empty-mask
+     * admissions so the ring lines up one-to-one with the forked
+     * harness's admission callback stream (required for fork/two-run
+     * parity).
      */
     const std::vector<AdmissionUndo> &
     recentAdmissions() const
@@ -459,8 +454,8 @@ class MemoryImage
      * Replace the remembered admission ring. The forked crash
      * harness rewinds a final image admission by admission and must
      * restore the ring a mid-run crash point would have seen, so
-     * partial-drain faults pick from the same candidates in both
-     * harness modes.
+     * torn clones tear the same line and partial-drain faults pick
+     * from the same candidates in both harness modes.
      */
     void
     setRecentAdmissions(std::vector<AdmissionUndo> ring)
@@ -548,18 +543,9 @@ class MemoryImage
     std::size_t persistedWords() const { return persisted.size(); }
 
   private:
-    void
-    pushAdmission(const AdmissionUndo &undo)
-    {
-        if (admissionRing.size() >= admissionRingDepth)
-            admissionRing.erase(admissionRing.begin());
-        admissionRing.push_back(undo);
-    }
-
     WordStore arch;
     WordStore persisted;
-    AdmissionUndo lastAdmission;
-    /** Trailing admissions, oldest first (partial-drain faults). */
+    /** Trailing admissions, oldest first (torn clones, media faults). */
     std::vector<AdmissionUndo> admissionRing;
     /** Poisoned (uncorrectable) line addresses; ordered for
      * deterministic iteration by recovery's quarantine pre-pass. */

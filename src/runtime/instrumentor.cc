@@ -171,9 +171,19 @@ Instrumentor::emitTxnCommit(OpStream &out, ThreadState &state,
     push(out, Op::clwb(cmEntry));
     loweringStats.stores += 1;
     loweringStats.clwbs += 1;
+
+    // 2. Once the marker is durable, truncate the log (steps 3-4).
+    emitTruncate(out, state, tid, region);
+}
+
+void
+Instrumentor::emitTruncate(OpStream &out, ThreadState &state,
+                           CoreId tid, const RegionCommitInfo &region)
+{
+    const LogLayout &layout = params.layout;
     emitDrain(out);
 
-    // 2. Invalidate the region's entries (step 3); independent
+    // Invalidate the region's entries (Figure 6 step 3); independent
     // entries invalidate concurrently (separate strands / one epoch).
     for (std::uint64_t idx : region.entries) {
         Addr base = layout.entryAddr(tid, idx);
@@ -185,7 +195,7 @@ Instrumentor::emitTxnCommit(OpStream &out, ThreadState &state,
     }
     emitDrain(out);
 
-    // 3. Advance and flush the persistent head pointer (step 4).
+    // Advance and flush the persistent head pointer (step 4).
     state.head = region.lastEntry + 1;
     push(out, Op::store(layout.headPtrAddr(tid), state.head));
     push(out, Op::clwb(layout.headPtrAddr(tid)));
@@ -219,7 +229,6 @@ Instrumentor::emitRedoCommit(OpStream &out, ThreadState &state,
     // barrier: their stores may not drain before the marker's flush
     // has read its line).
     emitPairOrder(out);
-    Addr lastLine = ~static_cast<Addr>(0);
     for (std::size_t i = 0; i < state.deferredUpdates.size(); ++i) {
         auto [addr, value] = state.deferredUpdates[i];
         push(out, Op::store(addr, value));
@@ -232,31 +241,12 @@ Instrumentor::emitRedoCommit(OpStream &out, ThreadState &state,
             push(out, Op::clwb(addr));
             loweringStats.clwbs += 1;
         }
-        lastLine = lineAlign(addr);
     }
-    (void)lastLine;
     state.deferredUpdates.clear();
 
-    // 4. Updates durable, then truncate the log (entries invalid,
-    // head past the region) exactly as the undo commit does.
-    emitDrain(out);
-    for (std::uint64_t idx : region.entries) {
-        Addr base = layout.entryAddr(tid, idx);
-        push(out, Op::store(base + log_field::valid, 0));
-        push(out, Op::clwb(base));
-        loweringStats.stores += 1;
-        loweringStats.clwbs += 1;
-        emitStrandSep(out);
-    }
-    emitDrain(out);
-    state.head = region.lastEntry + 1;
-    push(out, Op::store(layout.headPtrAddr(tid), state.head));
-    push(out, Op::clwb(layout.headPtrAddr(tid)));
-    loweringStats.stores += 1;
-    loweringStats.clwbs += 1;
-    emitDrain(out);
-
-    ++loweringStats.commits;
+    // 4. Updates durable, then truncate the log exactly as the undo
+    // commit does.
+    emitTruncate(out, state, tid, region);
 }
 
 OpStream

@@ -214,6 +214,14 @@ class Instrumentor
     void emitRedoCommit(OpStream &out, ThreadState &state, CoreId tid,
                         const RegionCommitInfo &region);
 
+    /**
+     * The tail both commits share once the region is durable: drain,
+     * invalidate the region's entries, drain, advance and flush the
+     * persistent head pointer past the region, drain.
+     */
+    void emitTruncate(OpStream &out, ThreadState &state, CoreId tid,
+                      const RegionCommitInfo &region);
+
     /** Build the background pruner's stream (SFR/ATLAS). */
     OpStream buildPrunerStream(
         const std::vector<RegionCommitInfo> &regions);

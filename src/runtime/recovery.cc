@@ -131,9 +131,10 @@ RecoveryManager::recover(MemoryImage &image, unsigned numThreads,
 
         // Entry lines never span pages (pageBytes % lineBytes == 0),
         // so one page lookup can serve a run of consecutive slots:
-        // one slot for the Faithful scan, the rest of the page for
-        // the Paged one. An absent page is the all-zero background,
-        // where every slot reads as a never-used Free entry.
+        // one slot for the Faithful scan, the rest of the page (or of
+        // the log, if it ends first) for the Paged one. An absent
+        // page is the all-zero background, where every slot reads as
+        // a never-used Free entry.
         std::uint64_t slot = 0;
         while (slot < layout.entriesPerThread) {
             Addr lineAddr = layout.entryAddr(tid, slot);

@@ -142,16 +142,14 @@ struct RecoveryReport
 enum class RecoveryScan
 {
     /**
-     * Look each slot's page up on its own. The reference for the
-     * paged run arithmetic; the two-run crash harness and the
-     * classic fuzz replay stay on it.
+     * Look each slot's page up on its own. Only the reference that
+     * the paged run arithmetic is tested against; no harness runs it.
      */
     Faithful,
     /**
      * Look a page up once per run of slots up to the page end (at
-     * most 64), and skip an absent page's run outright. This is what
-     * makes forked crash exploration cheap: recovery dominates the
-     * per-point cost, and the scan dominates recovery.
+     * most 64) or the log's end, and skip an absent page's run
+     * outright. Every harness recovers this way.
      */
     Paged,
 };
@@ -168,8 +166,16 @@ class RecoveryManager
      * Recover @p image in place after a crash. Reads the persisted
      * view; writes restored values durably.
      */
+    RecoveryReport
+    recover(MemoryImage &image, unsigned numThreads,
+            const RecoveryOptions &options = {}) const
+    {
+        return recover(image, numThreads, RecoveryScan::Paged, options);
+    }
+
+    /** recover() with the log read by @p scan. */
     RecoveryReport recover(MemoryImage &image, unsigned numThreads,
-                           RecoveryScan scan = RecoveryScan::Faithful,
+                           RecoveryScan scan,
                            const RecoveryOptions &options = {}) const;
 
   private:

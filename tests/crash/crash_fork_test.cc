@@ -191,8 +191,8 @@ TEST(CrashForkDifferential, VerdictsMatchTwoRunAcrossAllCells)
 
 TEST(CrashForkDifferential, TornVerdictsMatchTwoRun)
 {
-    // Torn clones depend on the rewound image's lastAdmission undo
-    // record being the right one at every point — the part of the
+    // Torn clones depend on the rewound image's newest admission-ring
+    // entry being the right one at every point — the part of the
     // backward reconstruction most worth cross-checking.
     RecordedWorkload recorded = record(WorkloadKind::Queue);
     for (unsigned tornWords : {1u, 7u}) {

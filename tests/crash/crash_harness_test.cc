@@ -296,22 +296,36 @@ TEST(CrashHarness, UncheckedRecoveryUnderFlipsIsCaughtByTheOracle)
            "corruption the oracle can see";
 }
 
-TEST(CrashExperiment, EnvKnobRunsInjectionInsideRunExperiment)
+TEST(CrashExperiment, EnvKnobDoesNotInjectInsideRunExperiment)
 {
-    // SW_CRASH_POINTS wires injection into every validated
-    // experiment; a recoverable design must pass. The env_config
-    // module snapshots the environment on first use, so the knob is
-    // set before anything in this process reads it and stays pinned
-    // at that value for the rest of the process — there is no
-    // re-read after unsetenv (that is the parse-once contract;
-    // see env_config_test.cc for the validation surface).
+    // Crash injection runs only as crash cells: SW_CRASH_POINTS is
+    // their point budget and never reaches a timing run. A validated
+    // runExperiment under the knob services exactly the events of one
+    // run of the same machine — a crash cell riding along would add
+    // its own. The env_config module snapshots the environment on
+    // first use, so the knob is set before anything in this process
+    // reads it and stays pinned at that value for the rest of the
+    // process — there is no re-read after unsetenv (that is the
+    // parse-once contract; see env_config_test.cc for the validation
+    // surface).
     RecordedWorkload recorded = record(WorkloadKind::Queue, 1, 12);
     ASSERT_EQ(setenv("SW_CRASH_POINTS", "6", 1), 0);
     EXPECT_EQ(benchCrashPoints(), 6u);
+    ExperimentConfig config;
+    config.pmosan = false;
     RunMetrics metrics =
         runExperiment(recorded, HwDesign::StrandWeaver,
-                      PersistencyModel::Txn);
-    EXPECT_GT(metrics.runTicks, 0u);
+                      PersistencyModel::Txn, config, /*validate=*/true);
+    auto sys = buildSystem(
+        recorded,
+        lowerWorkload(recorded, HwDesign::StrandWeaver,
+                      PersistencyModel::Txn, config.logStyle),
+        config);
+    sys->run();
+    EXPECT_GT(metrics.hostEvents, 0u);
+    EXPECT_EQ(metrics.hostEvents, sys->eventsServiced());
+    EXPECT_EQ(metrics.simOps,
+              static_cast<std::uint64_t>(sys->totalCommitted()));
     ASSERT_EQ(unsetenv("SW_CRASH_POINTS"), 0);
     EXPECT_EQ(benchCrashPoints(), 6u) << "env is parsed once";
 }

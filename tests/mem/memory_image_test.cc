@@ -371,10 +371,11 @@ TEST(MemoryImage, UndoAdmissionsNewestFirstAcrossPages)
 
 TEST(MemoryImage, SetLastAdmissionRebindsTornCloneAfterRewind)
 {
-    // After rewinding past an admission, the forked harness rebinds
-    // lastAdmission to the newest remaining undo so torn clones tear
-    // the RIGHT line — the same line a run crashed at that point
-    // would have torn.
+    // After rewinding past an admission, the newest remaining undo
+    // must become the last admission again, so torn clones tear the
+    // RIGHT line — the same line a run crashed at that point would
+    // have torn. setLastAdmission() rebinds it alone; the forked
+    // harness restores the whole admission ring instead.
     MemoryImage img;
     img.writeArch(pmLine + 0, 1);
     img.writeArch(pmLine + 8, 2);
@@ -387,17 +388,47 @@ TEST(MemoryImage, SetLastAdmissionRebindsTornCloneAfterRewind)
 
     MemoryImage rewound = img;
     rewound.undoAdmission(rewound.lastAdmissionUndo());
+    MemoryImage ringRewound = rewound;
     rewound.setLastAdmission(first);
-    EXPECT_EQ(rewound.lastAdmissionMask(), atFirst.lastAdmissionMask());
+    ringRewound.setRecentAdmissions({first});
 
-    MemoryImage tornRewound = rewound.clonePersistedTorn(0b01);
     MemoryImage tornOracle = atFirst.clonePersistedTorn(0b01);
-    EXPECT_EQ(tornRewound.readPersisted(pmLine + 0),
-              tornOracle.readPersisted(pmLine + 0));
-    EXPECT_EQ(tornRewound.persistedContains(pmLine + 8),
-              tornOracle.persistedContains(pmLine + 8));
-    EXPECT_EQ(tornRewound.persistedWords(),
-              tornOracle.persistedWords());
+    for (const MemoryImage *image : {&rewound, &ringRewound}) {
+        EXPECT_EQ(image->lastAdmissionMask(),
+                  atFirst.lastAdmissionMask());
+        MemoryImage torn = image->clonePersistedTorn(0b01);
+        EXPECT_EQ(torn.readPersisted(pmLine + 0),
+                  tornOracle.readPersisted(pmLine + 0));
+        EXPECT_EQ(torn.persistedContains(pmLine + 8),
+                  tornOracle.persistedContains(pmLine + 8));
+        EXPECT_EQ(torn.persistedWords(), tornOracle.persistedWords());
+    }
+}
+
+TEST(MemoryImage, LastAdmissionIsTheNewestRingEntry)
+{
+    // The image keeps each admission once: the last admission is the
+    // newest entry of the admission ring, empty-mask admissions
+    // included, and an image that admitted nothing has none.
+    MemoryImage img;
+    EXPECT_EQ(img.lastAdmissionMask(), 0u);
+    EXPECT_TRUE(img.recentAdmissions().empty());
+
+    img.writeArch(pmLine + 8, 5);
+    img.persistLine(img.snapshotLine(pmLine));
+    EXPECT_EQ(img.lastAdmissionMask(), 0b10u);
+    EXPECT_EQ(&img.lastAdmissionUndo(), &img.recentAdmissions().back());
+
+    LineData empty;
+    empty.lineAddr = pmLine + 64;
+    img.persistLine(empty);
+    ASSERT_EQ(img.recentAdmissions().size(), 2u);
+    EXPECT_EQ(img.lastAdmissionUndo().lineAddr, pmLine + 64);
+    EXPECT_EQ(img.lastAdmissionMask(), 0u);
+
+    img.setRecentAdmissions({});
+    EXPECT_EQ(img.lastAdmissionMask(), 0u);
+    EXPECT_EQ(img.clonePersistedTorn(0).readPersisted(pmLine + 8), 5u);
 }
 
 TEST(MemoryImage, AdmissionRingKeepsTheNewestAdmissions)

@@ -6,9 +6,8 @@
 
 #include <gtest/gtest.h>
 
-#include <map>
-
 #include "runtime/recovery.hh"
+#include "support/recovery_scans.hh"
 
 namespace strand
 {
@@ -36,54 +35,6 @@ class RecoveryFixture : public ::testing::Test
         img.writeDurable(base + log_field::seq, idx);
         img.writeDurable(base + log_field::valid, valid ? 1 : 0);
         img.writeDurable(base + log_field::commitMarker, cm ? 1 : 0);
-    }
-
-    /**
-     * Recover copies of img with both scans and demand identical
-     * reports, field by field, and identical recovered images.
-     * @return the Faithful scan's report.
-     */
-    RecoveryReport
-    recoverWithBothScans(unsigned numThreads)
-    {
-        MemoryImage faithfulImg = img;
-        MemoryImage pagedImg = img;
-        RecoveryReport faithful =
-            mgr.recover(faithfulImg, numThreads, RecoveryScan::Faithful);
-        RecoveryReport paged =
-            mgr.recover(pagedImg, numThreads, RecoveryScan::Paged);
-
-        EXPECT_EQ(paged.entriesRolledBack, faithful.entriesRolledBack);
-        EXPECT_EQ(paged.redoEntriesReplayed,
-                  faithful.redoEntriesReplayed);
-        EXPECT_EQ(paged.entriesCommittedDuringRecovery,
-                  faithful.entriesCommittedDuringRecovery);
-        EXPECT_EQ(paged.threadsWithUncommittedWork,
-                  faithful.threadsWithUncommittedWork);
-        EXPECT_EQ(paged.tornEntriesSkipped, faithful.tornEntriesSkipped);
-        EXPECT_EQ(paged.verdict, faithful.verdict);
-        EXPECT_EQ(paged.corruptEntriesQuarantined,
-                  faithful.corruptEntriesQuarantined);
-        EXPECT_EQ(paged.poisonedEntriesQuarantined,
-                  faithful.poisonedEntriesQuarantined);
-        EXPECT_EQ(paged.quarantinedThreads, faithful.quarantinedThreads);
-        EXPECT_EQ(paged.quarantinedAddrs, faithful.quarantinedAddrs);
-        EXPECT_EQ(paged.rollbacks, faithful.rollbacks);
-        EXPECT_EQ(paged.replays, faithful.replays);
-
-        // Recovered persisted images are word-for-word identical.
-        EXPECT_EQ(persistedWords(pagedImg), persistedWords(faithfulImg));
-        return faithful;
-    }
-
-    static std::map<Addr, std::uint64_t>
-    persistedWords(const MemoryImage &image)
-    {
-        std::map<Addr, std::uint64_t> words;
-        image.forEachPersisted([&](Addr addr, std::uint64_t value) {
-            words.emplace(addr, value);
-        });
-        return words;
     }
 
     LogLayout layout;
@@ -250,7 +201,7 @@ TEST_F(RecoveryFixture, PagedScanMatchesFaithfulScan)
     writeEntry(3, wrapped, LogType::Store, dataA, 33, true);
     writeEntry(3, wrapped + 2000, LogType::Store, dataB, 44, true);
 
-    RecoveryReport faithful = recoverWithBothScans(4);
+    RecoveryReport faithful = recoverWithBothScans(mgr, img, 4);
 
     // The scans actually hit the interesting branches.
     EXPECT_GT(faithful.entriesRolledBack, 0u);
@@ -291,8 +242,7 @@ TEST_F(RecoveryFixture, UncheckedRecoverySilentlyAppliesBitFlip)
 
     RecoveryOptions noVerify;
     noVerify.verifyChecksums = false;
-    auto report =
-        mgr.recover(img, 1, RecoveryScan::Faithful, noVerify);
+    auto report = mgr.recover(img, 1, noVerify);
     EXPECT_EQ(report.verdict, RecoveryVerdict::Full);
     EXPECT_EQ(report.corruptEntriesQuarantined, 0u);
     EXPECT_EQ(report.entriesRolledBack, 1u);
@@ -369,8 +319,7 @@ TEST_F(RecoveryFixture, FreeSlotAnomalyIsQuarantinedWithoutChecksums)
 
     RecoveryOptions noVerify;
     noVerify.verifyChecksums = false;
-    auto report =
-        mgr.recover(img, 1, RecoveryScan::Faithful, noVerify);
+    auto report = mgr.recover(img, 1, noVerify);
     EXPECT_EQ(report.verdict, RecoveryVerdict::Degraded);
     EXPECT_EQ(report.corruptEntriesQuarantined, 1u);
     ASSERT_EQ(report.quarantinedThreads.size(), 1u);
@@ -393,7 +342,7 @@ TEST_F(RecoveryFixture, PagedScanMatchesFaithfulScanUnderMediaDamage)
                      5); // free-slot anomaly on an absent-page slot
     img.poisonLine(dataB);
 
-    RecoveryReport faithful = recoverWithBothScans(2);
+    RecoveryReport faithful = recoverWithBothScans(mgr, img, 2);
 
     EXPECT_EQ(faithful.verdict, RecoveryVerdict::Degraded);
     EXPECT_EQ(faithful.corruptEntriesQuarantined, 2u);
@@ -464,7 +413,7 @@ TEST_F(MidPageLogRecovery, PagedScanMatchesFaithfulScan)
     ASSERT_EQ(pageOf(3, 20), pageOf(3, 83));
     ASSERT_EQ(img.persistedPage(pageOf(3, 20)), nullptr);
 
-    RecoveryReport faithful = recoverWithBothScans(4);
+    RecoveryReport faithful = recoverWithBothScans(mgr, img, 4);
 
     EXPECT_EQ(faithful.verdict, RecoveryVerdict::Full);
     EXPECT_EQ(faithful.entriesCommittedDuringRecovery, 3u);
