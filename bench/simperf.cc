@@ -41,6 +41,15 @@
  *                   minimal responder. Each trip costs two scheduled
  *                   events and 2*portLegLatency simulated ticks; the
  *                   section reports trips and events per second.
+ *   machine_build_cold, machine_build
+ *                   buildSystem on the fork machine's recording at
+ *                   the Table I geometry. A cold build first seeds
+ *                   the recording (the preload and the ~66K-line warm
+ *                   L2, which every build paid before machine seeds);
+ *                   the other builds are served from that seed. The
+ *                   sections fatal unless the served builds share one
+ *                   seed and a served machine replays a cold one's
+ *                   run.
  *
  * Everything is seeded and sized by constants, so the *work* is
  * identical run to run; only the wall-clock varies. Results land in
@@ -282,16 +291,23 @@ runFig7Cell()
     return s;
 }
 
-/** A fig7-shaped machine (Queue, 4 threads x 80 ops, StrandWeaver
- * under SFR), loaded and ready to run. */
-std::unique_ptr<System>
-buildForkMachine()
+/** The fork machine's recording: Queue, 4 threads x 80 ops. */
+RecordedWorkload
+recordForkWorkload()
 {
     WorkloadParams params;
     params.numThreads = 4;
     params.opsPerThread = 80;
     params.seed = 1;
-    RecordedWorkload rec = recordWorkload(WorkloadKind::Queue, params);
+    return recordWorkload(WorkloadKind::Queue, params);
+}
+
+/** A fig7-shaped machine (the fork recording, StrandWeaver under
+ * SFR), loaded and ready to run. */
+std::unique_ptr<System>
+buildForkMachine()
+{
+    RecordedWorkload rec = recordForkWorkload();
     return buildSystem(rec,
                        lowerWorkload(rec, HwDesign::StrandWeaver,
                                      PersistencyModel::Sfr,
@@ -344,6 +360,57 @@ runMidrunFork()
                 "forks_per_sec=%.3g\n",
                 iters, s.wallMs, s.unitsPerSec);
     return s;
+}
+
+/** Cold builds against builds served from the recording's seed. */
+std::vector<Section>
+runMachineBuild()
+{
+    const RecordedWorkload rec = recordForkWorkload();
+    const LoweredWorkload lowered =
+        lowerWorkload(rec, HwDesign::StrandWeaver, PersistencyModel::Sfr,
+                      LogStyle::Undo);
+    const ExperimentConfig config;
+
+    constexpr unsigned coldBuilds = 20;
+    std::unique_ptr<System> cold;
+    auto t0 = std::chrono::steady_clock::now();
+    for (unsigned i = 0; i < coldBuilds; ++i) {
+        rec.seeds.clear();
+        cold = buildSystem(rec, lowered, config);
+    }
+    Section coldSection{"machine_build_cold", coldBuilds, msSince(t0), 0};
+    coldSection.unitsPerSec =
+        1e3 * static_cast<double>(coldSection.units) / coldSection.wallMs;
+
+    constexpr unsigned servedBuilds = 200;
+    std::unique_ptr<System> served;
+    t0 = std::chrono::steady_clock::now();
+    for (unsigned i = 0; i < servedBuilds; ++i)
+        served = buildSystem(rec, lowered, config);
+    Section servedSection{"machine_build", servedBuilds, msSince(t0), 0};
+    servedSection.unitsPerSec = 1e3 *
+                                static_cast<double>(servedSection.units) /
+                                servedSection.wallMs;
+    fatalIf(rec.seeds.size() != 1,
+            "machine_build: {} served builds hold {} seeds", servedBuilds,
+            rec.seeds.size());
+
+    const Tick finish = cold->run();
+    fatalIf(served->run() != finish ||
+                served->persistTrace() != cold->persistTrace(),
+            "machine_build: a machine served from the seed diverged "
+            "from a cold build");
+
+    std::printf("machine_build_cold: builds=%u wall_ms=%.1f "
+                "builds_per_sec=%.3g\n",
+                coldBuilds, coldSection.wallMs, coldSection.unitsPerSec);
+    std::printf("machine_build:   builds=%u seeds=%zu wall_ms=%.1f "
+                "builds_per_sec=%.3g (%.1fx the cold rate)\n",
+                servedBuilds, rec.seeds.size(), servedSection.wallMs,
+                servedSection.unitsPerSec,
+                servedSection.unitsPerSec / coldSection.unitsPerSec);
+    return {coldSection, servedSection};
 }
 
 /** Heap bytes in use, all arenas (glibc). Reads 0 under allocators
@@ -482,6 +549,8 @@ main(int argc, char **argv)
     sections.push_back(runMidrunFork());
     sections.push_back(runMachineSnapshot());
     sections.push_back(runPortRoundtrip());
+    for (const Section &s : runMachineBuild())
+        sections.push_back(s);
 
     namespace fs = std::filesystem;
     fs::path dir(envConfig().outDir);

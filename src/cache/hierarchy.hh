@@ -206,6 +206,14 @@ class Hierarchy : public SimObject,
      */
     void prewarmL2(Addr start, Addr end);
 
+    /** Adopt @p tags as the L2 tag state, sharing their blocks
+     * (machine seeds). */
+    void
+    adoptL2Tags(const CacheArray::State &tags)
+    {
+        l2.restoreState(tags);
+    }
+
     /**
      * Service one mailed request, from the shared domain's event
      * stream:

@@ -6,6 +6,34 @@
 namespace strand
 {
 
+std::shared_ptr<const MachineSeed>
+SeedCache::get(const SeedKey &key,
+               const std::unordered_map<Addr, std::uint64_t> &words)
+{
+    // Held while a seed is built: the other workers that need it wait
+    // for it rather than build it again.
+    std::lock_guard lock(mutex);
+    for (const auto &seed : seeds)
+        if (seed->key == key)
+            return seed;
+    seeds.push_back(System::makeSeed(key, words));
+    return seeds.back();
+}
+
+void
+SeedCache::clear()
+{
+    std::lock_guard lock(mutex);
+    seeds.clear();
+}
+
+std::size_t
+SeedCache::size() const
+{
+    std::lock_guard lock(mutex);
+    return seeds.size();
+}
+
 RecordedWorkload
 recordWorkload(WorkloadKind kind, const WorkloadParams &params)
 {
@@ -55,7 +83,8 @@ buildSystem(const RecordedWorkload &recorded,
     sysCfg.layout = lowered.params.layout;
     sysCfg.adversary = adversary;
     auto sys = std::make_unique<System>(sysCfg);
-    sys->seedImage(recorded.preload);
+    sys->adoptSeed(
+        recorded.seeds.get(SeedKey::of(sysCfg), recorded.preload));
     sys->loadStreams(lowered.streams);
     return sys;
 }

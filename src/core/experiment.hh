@@ -11,6 +11,7 @@
 #define CORE_EXPERIMENT_HH
 
 #include <memory>
+#include <mutex>
 #include <optional>
 #include <string>
 #include <unordered_map>
@@ -23,15 +24,59 @@
 namespace strand
 {
 
+/**
+ * The machine seeds of one recording, one per SeedKey. Sweep workers
+ * building from one recording share its seeds, so lookups lock. A
+ * copied or assigned-to cache starts empty: its seeds would belong to
+ * another recording's preload.
+ */
+class SeedCache
+{
+  public:
+    SeedCache() = default;
+    SeedCache(const SeedCache &) {}
+    SeedCache &
+    operator=(const SeedCache &)
+    {
+        clear();
+        return *this;
+    }
+
+    /**
+     * @return the seed for @p key, built from @p words by
+     * System::makeSeed() on the first request for that key.
+     */
+    std::shared_ptr<const MachineSeed>
+    get(const SeedKey &key,
+        const std::unordered_map<Addr, std::uint64_t> &words);
+
+    /** Drop every seed; machines built from one keep theirs. */
+    void clear();
+
+    /** @return how many seeds are held. */
+    std::size_t size() const;
+
+  private:
+    mutable std::mutex mutex;
+    std::vector<std::shared_ptr<const MachineSeed>> seeds;
+};
+
 /** A workload recorded once and reusable across designs/models. */
 struct RecordedWorkload
 {
     WorkloadKind kind = WorkloadKind::Queue;
     WorkloadParams params;
     RegionTrace trace;
+    /** Fixed once recorded: machine seeds are built from it. */
     std::unordered_map<Addr, std::uint64_t> preload;
     /** Kept for invariant checks against run results. */
     std::shared_ptr<Workload> workload;
+    /**
+     * The preload seeded per SeedKey, built by the first buildSystem()
+     * that needs each key. runSweep drops them after the recording's
+     * last cell.
+     */
+    mutable SeedCache seeds;
 };
 
 /** Metrics from one timing run. */
@@ -129,10 +174,11 @@ LoweredWorkload lowerWorkload(const RecordedWorkload &recorded,
  * Build the machine every harness runs @p lowered on: the config's
  * base system and engine, one core per stream, the lowering's design
  * and log layout, and @p adversary at every legal-reordering site.
- * The recorded preload is seeded (warming the L2 when the base system
- * asks for it) and the streams are loaded, so the machine is ready to
- * run. Timing cells, crash cells, fuzz trials and simperf all build
- * here, so they replay the same machine.
+ * The machine adopts the recording's seed for its key (the preload
+ * seeded, with the L2 warmed when the base system asks for it) and
+ * the streams are loaded, so it is ready to run. Timing cells, crash
+ * cells, fuzz trials and simperf all build here, so they replay the
+ * same machine.
  */
 std::unique_ptr<System> buildSystem(const RecordedWorkload &recorded,
                                     const LoweredWorkload &lowered,

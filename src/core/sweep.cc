@@ -1,9 +1,13 @@
 #include "core/sweep.hh"
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <exception>
+#include <mutex>
+#include <numeric>
 #include <thread>
+#include <unordered_map>
 
 #include "core/env_config.hh"
 
@@ -189,6 +193,28 @@ runSweep(const SweepSpec &spec)
         out.media = cell.media;
     }
 
+    // Cells that share a recording run back to back, groups in the
+    // order of their first cell and cells in spec order within a
+    // group. A recording's machine seeds are dropped once its last
+    // cell is done, so a sweep holds the seeds of the recordings in
+    // progress only, not of every recording it has run.
+    std::unordered_map<const RecordedWorkload *, std::size_t> firstCell;
+    std::unordered_map<const RecordedWorkload *, std::size_t> cellsLeft;
+    for (std::size_t i = 0; i < spec.cells.size(); ++i) {
+        if (const RecordedWorkload *rec = spec.cells[i].recorded.get()) {
+            firstCell.try_emplace(rec, i);
+            ++cellsLeft[rec];
+        }
+    }
+    auto group = [&](std::size_t i) {
+        const RecordedWorkload *rec = spec.cells[i].recorded.get();
+        return rec ? firstCell.at(rec) : i;
+    };
+    std::vector<std::size_t> order(spec.cells.size());
+    std::iota(order.begin(), order.end(), std::size_t{0});
+    std::ranges::stable_sort(order, {}, group);
+    std::mutex cellsLeftMutex;
+
     auto runOne = [&](std::size_t i) {
         CellResult &out = result.cells[i];
         setLogCellLabel(out.key);
@@ -218,19 +244,28 @@ runSweep(const SweepSpec &spec)
             break;
         }
         setLogCellLabel("");
+        if (const RecordedWorkload *rec = spec.cells[i].recorded.get()) {
+            bool last = false;
+            {
+                std::lock_guard lock(cellsLeftMutex);
+                last = --cellsLeft.at(rec) == 0;
+            }
+            if (last)
+                rec->seeds.clear();
+        }
     };
 
     if (result.jobs == 1) {
-        // Legacy behavior: every cell on the calling thread, in spec
-        // order, with no pool machinery at all.
-        for (std::size_t i = 0; i < spec.cells.size(); ++i)
+        // Every cell on the calling thread, with no pool machinery at
+        // all.
+        for (std::size_t i : order)
             runOne(i);
     } else {
         std::atomic<std::size_t> next{0};
         auto worker = [&] {
-            for (std::size_t i = next.fetch_add(1);
-                 i < spec.cells.size(); i = next.fetch_add(1)) {
-                runOne(i);
+            for (std::size_t n = next.fetch_add(1); n < order.size();
+                 n = next.fetch_add(1)) {
+                runOne(order[n]);
             }
         };
         std::vector<std::thread> pool;

@@ -9,14 +9,20 @@
  * design, model, per-cell ExperimentConfig overrides, an optional
  * baseline cell for speedup columns — and runSweep() executes them.
  *
- * Cells are embarrassingly parallel: each one builds a fully
+ * Cells are embarrassingly parallel: each one builds a
  * self-contained simulation (its own EventQueue, System, Rng, and
- * stats tree) and only *reads* the shared RecordedWorkload, so the
- * scheduler simply hands cell indices to SW_JOBS worker threads
- * (default: hardware concurrency; 1 reproduces the legacy serial
- * order bit for bit on the main thread). Results land in spec order
- * regardless of execution order, so table and JSON output are
- * byte-identical across SW_JOBS values.
+ * stats tree) from the shared RecordedWorkload. What cells share
+ * through a recording besides reading it are its machine seeds
+ * (RecordedWorkload::seeds): the seeded image and warm L2 tags, built
+ * by the first cell that needs them and adopted copy-on-write by
+ * every machine after it. So execution is grouped by recording: the
+ * scheduler hands out the cells of one recording back to back
+ * (groups in the order of their first cell, spec order within a
+ * group) to SW_JOBS worker threads (default: hardware concurrency; 1
+ * runs every cell on the main thread), and drops a recording's seeds
+ * after its last cell. Results land in spec order regardless of
+ * execution order, so table and JSON output are byte-identical
+ * across SW_JOBS values.
  *
  * A cell that panics does not wedge the pool: the panic is caught,
  * tagged with the cell's label, and recorded on its CellResult; the
@@ -50,7 +56,8 @@ enum class CellKind
 struct SweepCell
 {
     CellKind kind = CellKind::Timing;
-    /** Shared read-only across cells; recorded once per workload. */
+    /** Shared across cells and recorded once per workload; cells
+     * only read it, apart from its machine seeds. */
     std::shared_ptr<const RecordedWorkload> recorded;
     HwDesign design = HwDesign::StrandWeaver;
     PersistencyModel model = PersistencyModel::Sfr;

@@ -103,6 +103,41 @@ System::seedImage(const std::unordered_map<Addr, std::uint64_t> &words)
     }
 }
 
+SeedKey
+SeedKey::of(const SystemConfig &cfg)
+{
+    return {cfg.layout, cfg.caches.l2Size, cfg.caches.l2Ways,
+            cfg.warmCaches};
+}
+
+std::shared_ptr<const MachineSeed>
+System::makeSeed(const SeedKey &key,
+                 const std::unordered_map<Addr, std::uint64_t> &words)
+{
+    SystemConfig cfg;
+    cfg.numCores = 1;
+    cfg.layout = key.layout;
+    cfg.caches.l2Size = key.l2Size;
+    cfg.caches.l2Ways = key.l2Ways;
+    cfg.warmCaches = key.warmCaches;
+    System seeded(cfg);
+    seeded.seedImage(words);
+    return std::make_shared<const MachineSeed>(MachineSeed{
+        key, std::move(seeded.image), seeded.caches->saveState().l2Tags});
+}
+
+void
+System::adoptSeed(std::shared_ptr<const MachineSeed> from)
+{
+    panicIf(from->key != SeedKey::of(cfg),
+            "machine seed was built for another log layout, L2 "
+            "geometry or warm-cache setting");
+    panicIf(coresStarted, "machine seed adopted after the run began");
+    image = from->image;
+    caches->adoptL2Tags(from->l2);
+    seed = std::move(from);
+}
+
 void
 System::loadStreams(std::vector<OpStream> streams)
 {

@@ -56,6 +56,37 @@ struct SystemConfig
 };
 
 /**
+ * What System::seedImage() reads besides the words it installs: two
+ * machines whose configs agree on these fields are left with the same
+ * image and the same L2 tags by the same words.
+ */
+struct SeedKey
+{
+    LogLayout layout;
+    std::uint64_t l2Size = 0;
+    unsigned l2Ways = 0;
+    bool warmCaches = true;
+
+    /** The key of a machine built with @p cfg. */
+    static SeedKey of(const SystemConfig &cfg);
+
+    bool operator==(const SeedKey &) const = default;
+};
+
+/**
+ * What System::seedImage() leaves in a fresh machine with a given
+ * key: the seeded image and the L2 tags it warmed (DESIGN.md §2 item
+ * 7). Built once per recording and key (RecordedWorkload::seeds);
+ * every machine built from the recording adopts it.
+ */
+struct MachineSeed
+{
+    SeedKey key;
+    MemoryImage image;
+    CacheArray::State l2;
+};
+
+/**
  * Run bookkeeping: the persist trace, per-core finish ticks and the
  * run's progress flags. System derives from it privately (DESIGN.md
  * §6).
@@ -107,6 +138,25 @@ class System : public stats::StatGroup, private SystemRunState
     /** Seed words as already-durable initial state. */
     void seedImage(
         const std::unordered_map<Addr, std::uint64_t> &words);
+
+    /**
+     * Build what seedImage(@p words) leaves in a fresh machine whose
+     * config has @p key, by seeding a one-core machine with that key.
+     */
+    static std::shared_ptr<const MachineSeed>
+    makeSeed(const SeedKey &key,
+             const std::unordered_map<Addr, std::uint64_t> &words);
+
+    /**
+     * Start from @p seed, in the state seedImage() of its words would
+     * leave: the image is copied, and the L2 shares the seed's tag
+     * blocks, copying each one on its first write (DESIGN.md §6 rule
+     * 5). The machine holds @p seed for life, so a seed block never
+     * has a single owner that could adopt it in place while machines
+     * on other threads still read it. Panics unless this machine has
+     * the seed's key and has not started.
+     */
+    void adoptSeed(std::shared_ptr<const MachineSeed> seed);
 
     /** Install one op stream per core (size must match). */
     void loadStreams(std::vector<OpStream> streams);
@@ -216,6 +266,8 @@ class System : public stats::StatGroup, private SystemRunState
     LockTable locks;
     std::vector<std::unique_ptr<Core>> cores;
     ObserverHub hub;
+    /** The seed this machine adopted, if any (see adoptSeed()). */
+    std::shared_ptr<const MachineSeed> seed;
 };
 
 /**

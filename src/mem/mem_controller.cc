@@ -89,8 +89,9 @@ MemController::serviceOnBank(Addr addr, Tick earliest, Tick missLatency,
 void
 MemController::handleRequest(MemPort &port, const MemRequest &req)
 {
-    panicIf(req.kind != MemRequestKind::Packet,
-            "{}: controllers only service Packet requests", fullName());
+    if (req.kind != MemRequestKind::Packet) [[unlikely]]
+        panic("{}: controllers only service Packet requests",
+              fullName());
     const PacketPtr &pkt = req.pkt;
     panicIf(!pkt, "null packet");
 
@@ -122,7 +123,8 @@ MemController::handleRequest(MemPort &port, const MemRequest &req)
 std::size_t
 MemController::acquireSlot(std::vector<std::size_t> &free)
 {
-    panicIf(free.empty(), "{}: no free request slot", fullName());
+    if (free.empty()) [[unlikely]]
+        panic("{}: no free request slot", fullName());
     const std::size_t slot = free.back();
     free.pop_back();
     return slot;

@@ -26,8 +26,8 @@ IntelEngine::IntelEngine(std::string name, EventQueue &eq, CoreId core,
 void
 IntelEngine::onMemResponse(const MemResponse &resp)
 {
-    panicIf(resp.req != MemRequestKind::Flush,
-            "{}: unexpected memory response", fullName());
+    if (resp.req != MemRequestKind::Flush) [[unlikely]]
+        panic("{}: unexpected memory response", fullName());
     if (resp.kind == MemResponseKind::FlushStarted)
         return; // SFENCE gating keys off completion, not the read
     const SeqNum seq = resp.token;

@@ -44,12 +44,12 @@ constexpr std::uint64_t tokenPositionMask =
 void
 StrandBufferUnit::onMemResponse(const MemResponse &resp)
 {
-    panicIf(resp.req != MemRequestKind::Flush,
-            "{}: unexpected memory response", fullName());
+    if (resp.req != MemRequestKind::Flush) [[unlikely]]
+        panic("{}: unexpected memory response", fullName());
     const std::size_t bi = resp.token >> tokenBufferShift;
     const std::uint64_t position = resp.token & tokenPositionMask;
-    panicIf(bi >= buffers.size(), "{}: flush token names buffer {}",
-            fullName(), bi);
+    if (bi >= buffers.size()) [[unlikely]]
+        panic("{}: flush token names buffer {}", fullName(), bi);
     Buffer &buffer = buffers[bi];
     // Find the entry by position; earlier entries may have retired
     // meanwhile but this one cannot have (it is not yet complete).

@@ -198,6 +198,8 @@ struct LogLayout
         return lineAddr >= heapBase() && lineAddr < heapEnd();
     }
 
+    bool operator==(const LogLayout &) const = default;
+
     /** Owning thread of a log-region line (isLogLine() required). */
     CoreId
     logThreadOf(Addr lineAddr) const

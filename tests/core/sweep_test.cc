@@ -76,6 +76,44 @@ TEST(Sweep, SerialAndParallelRunsAreByteIdentical)
     }
 }
 
+TEST(Sweep, RecordingsHoldNoSeedsAfterTheSweep)
+{
+    // Two recordings whose cells interleave in spec order, as
+    // fig7_performance's model-major matrix does. Execution is grouped
+    // by recording and workers share a recording's machine seeds, yet
+    // the result must not depend on the worker count, and every seed
+    // (one built before the sweep included) is gone once it returns.
+    auto queue = smallWorkload();
+    auto hashmap = smallWorkload(WorkloadKind::Hashmap);
+    SweepSpec spec;
+    spec.name = "seeds";
+    for (PersistencyModel model :
+         {PersistencyModel::Txn, PersistencyModel::Sfr}) {
+        for (const auto &recorded : {queue, hashmap}) {
+            spec.addTiming(recorded, HwDesign::IntelX86, model);
+            spec.addTiming(recorded, HwDesign::StrandWeaver, model);
+        }
+    }
+    spec.addCrash(hashmap, HwDesign::StrandWeaver, PersistencyModel::Txn,
+                  4);
+
+    std::vector<std::string> documents;
+    for (unsigned jobs : {1u, 3u}) {
+        buildSystem(*queue,
+                    lowerWorkload(*queue, HwDesign::IntelX86,
+                                  PersistencyModel::Txn, LogStyle::Undo),
+                    {});
+        ASSERT_EQ(queue->seeds.size(), 1u);
+        spec.jobs = jobs;
+        SweepResult result = runSweep(spec);
+        ASSERT_TRUE(result.allOk()) << result.failedKeys().front();
+        EXPECT_EQ(queue->seeds.size(), 0u) << "jobs " << jobs;
+        EXPECT_EQ(hashmap->seeds.size(), 0u) << "jobs " << jobs;
+        documents.push_back(sweepJson(result, /*includeHost=*/false));
+    }
+    EXPECT_EQ(documents[0], documents[1]);
+}
+
 TEST(Sweep, JobsClampToCellCount)
 {
     auto recorded = smallWorkload();

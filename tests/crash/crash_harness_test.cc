@@ -9,6 +9,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+
 #include "crash/crash_harness.hh"
 #include "runtime/layout.hh"
 
@@ -296,18 +298,13 @@ TEST(CrashHarness, UncheckedRecoveryUnderFlipsIsCaughtByTheOracle)
            "corruption the oracle can see";
 }
 
-TEST(CrashExperiment, EnvKnobDoesNotInjectInsideRunExperiment)
+/**
+ * The checks of EnvKnobDoesNotInjectInsideRunExperiment. They need a
+ * process in which nothing has read the environment yet.
+ */
+void
+checkEnvKnobDoesNotInject()
 {
-    // Crash injection runs only as crash cells: SW_CRASH_POINTS is
-    // their point budget and never reaches a timing run. A validated
-    // runExperiment under the knob services exactly the events of one
-    // run of the same machine — a crash cell riding along would add
-    // its own. The env_config module snapshots the environment on
-    // first use, so the knob is set before anything in this process
-    // reads it and stays pinned at that value for the rest of the
-    // process — there is no re-read after unsetenv (that is the
-    // parse-once contract; see env_config_test.cc for the validation
-    // surface).
     RecordedWorkload recorded = record(WorkloadKind::Queue, 1, 12);
     ASSERT_EQ(setenv("SW_CRASH_POINTS", "6", 1), 0);
     EXPECT_EQ(benchCrashPoints(), 6u);
@@ -328,6 +325,30 @@ TEST(CrashExperiment, EnvKnobDoesNotInjectInsideRunExperiment)
               static_cast<std::uint64_t>(sys->totalCommitted()));
     ASSERT_EQ(unsetenv("SW_CRASH_POINTS"), 0);
     EXPECT_EQ(benchCrashPoints(), 6u) << "env is parsed once";
+}
+
+TEST(CrashExperiment, EnvKnobDoesNotInjectInsideRunExperiment)
+{
+    // Crash injection runs only as crash cells: SW_CRASH_POINTS is
+    // their point budget and never reaches a timing run. A validated
+    // runExperiment under the knob services exactly the events of one
+    // run of the same machine — a crash cell riding along would add
+    // its own. The env_config module snapshots the environment on
+    // first use, so the knob must be set before anything in the
+    // process reads it, and stays pinned at that value for the rest
+    // of the process — there is no re-read after unsetenv (that is
+    // the parse-once contract; see env_config_test.cc for the
+    // validation surface). Earlier tests in this binary may have read
+    // the environment already, so the checks run in a fresh process:
+    // the threadsafe death-test style re-executes the binary for this
+    // test alone, and the child exits 0 only if every check held.
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    EXPECT_EXIT(
+        {
+            checkEnvKnobDoesNotInject();
+            std::exit(::testing::Test::HasFailure() ? 1 : 0);
+        },
+        ::testing::ExitedWithCode(0), "");
 }
 
 } // namespace

@@ -12,6 +12,11 @@
  *
  * A second System without the capture observer runs alongside to show
  * the capture machinery itself does not perturb the schedule.
+ *
+ * Machine seeds share tag blocks the same way captures do, so the
+ * seeded-build tests live here too: a machine that adopts its
+ * recording's seed must start, and run, exactly as one seeded by
+ * System::seedImage().
  */
 
 #include <gtest/gtest.h>
@@ -315,6 +320,128 @@ INSTANTIATE_TEST_SUITE_P(
         return designParamName(std::get<0>(info.param)) + "_" +
                geometries().at(std::get<1>(info.param)).name;
     });
+
+/** Expect two L2 tag states to hold the same lines, states, LRU
+ * stamps and use clock. */
+void
+expectSameTags(const CacheArray::State &a, const CacheArray::State &b)
+{
+    ASSERT_EQ(a.sets, b.sets);
+    ASSERT_EQ(a.ways, b.ways);
+    EXPECT_EQ(a.useClock, b.useClock);
+    std::size_t differing = 0;
+    for (unsigned set = 0; set < a.sets; ++set) {
+        const std::size_t block = set / CacheArray::setsPerBlock;
+        const std::size_t first =
+            (set % CacheArray::setsPerBlock) * a.ways;
+        for (unsigned way = 0; way < a.ways; ++way) {
+            const CacheLineInfo &x = a.blocks[block][first + way];
+            const CacheLineInfo &y = b.blocks[block][first + way];
+            differing += x.lineAddr != y.lineAddr ||
+                         x.state != y.state || x.lastUse != y.lastUse;
+        }
+    }
+    EXPECT_EQ(differing, 0u) << "L2 lines differ";
+}
+
+class SeededBuild
+    : public ::testing::TestWithParam<std::tuple<std::size_t, bool>>
+{
+};
+
+TEST_P(SeededBuild, EqualsASeedImageBuild)
+{
+    // Every cache geometry, warm and cold. On the warm small and tiny
+    // L2s the prewarm meets full sets and skips lines, so install
+    // order decides what the seed holds.
+    const auto [index, warm] = GetParam();
+    Rig rig(HwDesign::StrandWeaver, PersistencyModel::Sfr, 60);
+    rig.config.baseSystem.warmCaches = warm;
+    rig.config.baseSystem.caches = geometries().at(index).caches;
+
+    // The first build makes the recording's seed; this one is served
+    // from it.
+    rig.buildSystem();
+    std::unique_ptr<System> served = rig.buildSystem();
+    EXPECT_EQ(rig.recorded.seeds.size(), 1u);
+
+    System reference(served->config());
+    reference.seedImage(rig.recorded.preload);
+    reference.loadStreams(rig.lowered.streams);
+
+    const MemoryImage &a = served->memory();
+    const MemoryImage &b = reference.memory();
+    EXPECT_EQ(a.archWords(), b.archWords());
+    EXPECT_EQ(a.persistedWords(), b.persistedWords());
+    for (const auto &[addr, value] : rig.recorded.preload) {
+        EXPECT_EQ(a.readArch(addr), b.readArch(addr)) << addr;
+        EXPECT_EQ(a.readPersisted(addr), b.readPersisted(addr)) << addr;
+    }
+    expectSameTags(served->hierarchy().saveState().l2Tags,
+                   reference.hierarchy().saveState().l2Tags);
+
+    PmoSanitizer servedSan;
+    served->addObserver(&servedSan);
+    served->run();
+    PmoSanitizer referenceSan;
+    reference.addObserver(&referenceSan);
+    reference.run();
+    Fingerprint::of(*served, servedSan)
+        .expectEqual(Fingerprint::of(reference, referenceSan),
+                     "served from the seed");
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllGeometries, SeededBuild,
+    ::testing::Combine(::testing::Range<std::size_t>(0,
+                                                     geometries().size()),
+                       ::testing::Bool()),
+    [](const ::testing::TestParamInfo<std::tuple<std::size_t, bool>>
+           &info) {
+        return geometries().at(std::get<0>(info.param)).name +
+               (std::get<1>(info.param) ? "_warm" : "_cold");
+    });
+
+TEST(SeededBuildKeys, EachL2GeometryGetsItsOwnSeed)
+{
+    const HierarchyParams table1Caches;
+    const HierarchyParams smallCaches = geometries().at(1).caches;
+    Rig rig(HwDesign::StrandWeaver, PersistencyModel::Sfr);
+    const SeedKey table1 = SeedKey::of(rig.buildSystem()->config());
+    rig.config.baseSystem.caches = smallCaches;
+    const SeedKey small = SeedKey::of(rig.buildSystem()->config());
+    rig.buildSystem();
+    EXPECT_EQ(rig.recorded.seeds.size(), 2u);
+
+    const auto &preload = rig.recorded.preload;
+    const auto table1Seed = rig.recorded.seeds.get(table1, preload);
+    const auto smallSeed = rig.recorded.seeds.get(small, preload);
+    EXPECT_NE(table1Seed, smallSeed);
+    EXPECT_EQ(table1Seed, rig.recorded.seeds.get(table1, preload));
+    EXPECT_EQ(table1Seed->l2.sets,
+              table1Caches.l2Size / lineBytes / table1Caches.l2Ways);
+    EXPECT_EQ(smallSeed->l2.sets,
+              smallCaches.l2Size / lineBytes / smallCaches.l2Ways);
+}
+
+TEST(SeededBuildKeys, MachineOutlivesItsRecording)
+{
+    // simperf's fork machine is built from a recording that is gone
+    // before the machine runs; the machine keeps its seed.
+    Rig rig(HwDesign::StrandWeaver, PersistencyModel::Sfr, 60);
+    const Fingerprint reference = plainRun(rig);
+    std::unique_ptr<System> orphan;
+    {
+        RecordedWorkload recorded = rig.recorded;
+        EXPECT_EQ(recorded.seeds.size(), 0u)
+            << "a copied recording starts without seeds";
+        orphan = strand::buildSystem(recorded, rig.lowered, rig.config);
+    }
+    PmoSanitizer san;
+    orphan->addObserver(&san);
+    orphan->run();
+    Fingerprint::of(*orphan, san).expectEqual(reference, "orphan");
+}
 
 } // namespace
 } // namespace strand
