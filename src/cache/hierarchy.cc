@@ -8,6 +8,19 @@
 namespace strand
 {
 
+namespace
+{
+
+/** Mail @p kind for a @p req request back to whoever @p reply names. */
+void
+answer(const Reply &reply, MemRequestKind req, MemResponseKind kind,
+       bool wrotePm = false)
+{
+    reply.port->respond({req, kind, reply.token, wrotePm});
+}
+
+} // namespace
+
 Hierarchy::Hierarchy(std::string name, EventQueue &eq, MemoryImage &image,
                      unsigned numCores, const HierarchyParams &params,
                      MemController &pmCtrl, MemController &dramCtrl,
@@ -42,8 +55,8 @@ Hierarchy::Hierarchy(std::string name, EventQueue &eq, MemoryImage &image,
         l1Tags.emplace_back(params.l1Size, params.l1Ways);
     }
     recorders.resize(numCores);
-    pmCtrl.addRetryCallback([this] { scheduleKick(); });
-    dramCtrl.addRetryCallback([this] { scheduleKick(); });
+    pmCtrl.setClient(*this);
+    dramCtrl.setClient(*this);
     kickEvent.init(eq, [this] { kick(); }, EventPriority::Default);
     retryKick = [this] { scheduleKick(); };
 
@@ -104,11 +117,12 @@ Hierarchy::kick()
     drainWritebacks();
     drainL2Evicts();
     drainAllLineWrites();
-    // Retry parked transactions in arrival order; anything still
-    // blocked goes back on the list.
-    std::deque<Parked> work;
-    work.swap(parked);
-    for (auto &item : work) {
+    // Retry the transactions parked when the kick began, in arrival
+    // order; anything still blocked goes to the back, after work
+    // parked meanwhile, which waits for the next kick.
+    for (std::size_t n = parked.size(); n > 0; --n) {
+        Parked item = std::move(parked.front());
+        parked.pop_front();
         if (!item.attempt())
             parked.push_back(std::move(item));
     }
@@ -137,52 +151,26 @@ void
 Hierarchy::handleRequest(MemPort &port, const MemRequest &req)
 {
     // The port outlives every in-flight message (both are owned by
-    // permanent components), so capturing its address in completion
-    // closures is snapshot-safe.
-    MemPort *reply = &port;
-    const std::uint64_t token = req.token;
+    // permanent components), so a reply may hold its address.
+    const Reply reply{&port, req.token};
     switch (req.kind) {
-    case MemRequestKind::Load: {
-        bool accepted = startLoad(req.core, req.addr, [reply, token] {
-            reply->respond({MemRequestKind::Load, MemResponseKind::Done,
-                            token});
-        });
-        if (!accepted)
-            port.respond({MemRequestKind::Load, MemResponseKind::Nack,
-                          token});
+    case MemRequestKind::Load:
+        if (!startLoad(req.core, req.addr, reply))
+            answer(reply, req.kind, MemResponseKind::Nack);
         return;
-    }
     case MemRequestKind::Store: {
-        bool accepted =
-            startStore(req.core, req.addr, req.value, [reply, token] {
-                reply->respond({MemRequestKind::Store,
-                                MemResponseKind::Done, token});
-            });
+        bool accepted = startStore(req.core, req.addr, req.value, reply);
         // The admission decision always goes back explicitly: Ack so
         // the requester may issue its next store, Nack to retry this
         // one. Completion (Done) follows an Ack strictly later —
         // the L1 latency exceeds any port leg.
-        port.respond({MemRequestKind::Store,
-                      accepted ? MemResponseKind::Ack
-                               : MemResponseKind::Nack,
-                      token});
+        answer(reply, req.kind,
+               accepted ? MemResponseKind::Ack : MemResponseKind::Nack);
         return;
     }
-    case MemRequestKind::Flush: {
-        startFlush(
-            req.core, req.addr,
-            [reply, token](bool wrotePm) {
-                MemResponse resp{MemRequestKind::Flush,
-                                 MemResponseKind::Done, token};
-                resp.wrotePm = wrotePm;
-                reply->respond(std::move(resp));
-            },
-            [reply, token] {
-                reply->respond({MemRequestKind::Flush,
-                                MemResponseKind::FlushStarted, token});
-            });
+    case MemRequestKind::Flush:
+        startFlush(req.core, req.addr, reply);
         return;
-    }
     case MemRequestKind::Kick:
         // Response-less doorbell: a persist engine's drain point
         // cleared after our own completion kick had already run.
@@ -196,7 +184,7 @@ Hierarchy::handleRequest(MemPort &port, const MemRequest &req)
 }
 
 bool
-Hierarchy::startLoad(CoreId core, Addr addr, std::function<void()> onDone)
+Hierarchy::startLoad(CoreId core, Addr addr, Reply reply)
 {
     Addr la = lineAlign(addr);
     L1 &l1 = cores.at(core);
@@ -204,15 +192,16 @@ Hierarchy::startLoad(CoreId core, Addr addr, std::function<void()> onDone)
     if (CacheLineInfo *line = l1Tags[core].findLine(la)) {
         l1Tags[core].touch(*line);
         ++loadHits;
-        eq.scheduleIn(params.l1Latency, std::move(onDone),
-                      EventPriority::MemoryResponse);
+        eq.scheduleIn(params.l1Latency, [reply] {
+            answer(reply, MemRequestKind::Load, MemResponseKind::Done);
+        }, EventPriority::MemoryResponse);
         return true;
     }
 
     auto it = l1.mshrs.find(la);
     if (it != l1.mshrs.end()) {
         // Merge with the outstanding miss; any fill satisfies a load.
-        it->second.waiters.push_back(std::move(onDone));
+        it->second.waiters.push_back({reply, false, addr, 0});
         ++loadMisses;
         return true;
     }
@@ -222,15 +211,28 @@ Hierarchy::startLoad(CoreId core, Addr addr, std::function<void()> onDone)
     ++loadMisses;
     auto &mshr = l1.mshrs[la];
     mshr.exclusive = false;
-    mshr.waiters.push_back(std::move(onDone));
+    mshr.waiters.push_back({reply, false, addr, 0});
     ++activeTransactions;
     startMiss(core, la, false);
     return true;
 }
 
+void
+Hierarchy::retireStore(CoreId core, Addr addr, std::uint64_t value)
+{
+    // Re-find: the line cannot have moved (no transaction can run on
+    // it without an MSHR/busy entry, and owned lines are only demoted
+    // by transactions). It can only vanish if an L2 replacement
+    // back-invalidated it mid-store; treat that as a store that
+    // squeaked in before the invalidation.
+    if (CacheLineInfo *l = l1Tags.at(core).findLine(lineAlign(addr)))
+        l->state = CoherenceState::Modified;
+    image.writeArch(addr, value);
+}
+
 bool
 Hierarchy::startStore(CoreId core, Addr addr, std::uint64_t value,
-                      std::function<void()> onDone)
+                      Reply reply)
 {
     Addr la = lineAlign(addr);
     L1 &l1 = cores.at(core);
@@ -240,20 +242,9 @@ Hierarchy::startStore(CoreId core, Addr addr, std::uint64_t value,
                  line->state == CoherenceState::Exclusive)) {
         l1Tags[core].touch(*line);
         ++storeHits;
-        eq.scheduleIn(params.l1Latency,
-                      [this, core, la, addr, value,
-                       onDone = std::move(onDone)] {
-            // Re-find: the line cannot have moved (no transaction can
-            // run on it without an MSHR/busy entry, and owned lines
-            // are only demoted by transactions).
-            // The line can only vanish if an L2 replacement
-            // back-invalidated it mid-store; treat it as a store that
-            // squeaked in before the invalidation.
-            if (CacheLineInfo *l = l1Tags.at(core).findLine(la))
-                l->state = CoherenceState::Modified;
-            image.writeArch(addr, value);
-            if (onDone)
-                onDone();
+        eq.scheduleIn(params.l1Latency, [this, core, addr, value, reply] {
+            retireStore(core, addr, value);
+            answer(reply, MemRequestKind::Store, MemResponseKind::Done);
         }, EventPriority::MemoryResponse);
         return true;
     }
@@ -266,20 +257,15 @@ Hierarchy::startStore(CoreId core, Addr addr, std::uint64_t value,
         ++upgrades;
         ++activeTransactions;
         eq.scheduleIn(params.l1Latency + params.snoopLatency,
-                      [this, core, la, addr, value,
-                       onDone = std::move(onDone)] {
+                      [this, core, la, addr, value, reply] {
             for (unsigned i = 0; i < cores.size(); ++i) {
                 if (i != core)
                     l1Tags[i].invalidate(la);
             }
-            // Tolerate an L2 back-invalidation racing the upgrade.
-            if (CacheLineInfo *l = l1Tags.at(core).findLine(la))
-                l->state = CoherenceState::Modified;
-            image.writeArch(addr, value);
+            retireStore(core, addr, value);
             busyLines.erase(la);
             --activeTransactions;
-            if (onDone)
-                onDone();
+            answer(reply, MemRequestKind::Store, MemResponseKind::Done);
             scheduleKick();
         }, EventPriority::MemoryResponse);
         return true;
@@ -293,14 +279,7 @@ Hierarchy::startStore(CoreId core, Addr addr, std::uint64_t value,
             // take the upgrade path.
             return false;
         }
-        it->second.waiters.push_back(
-            [this, core, la, addr, value, onDone = std::move(onDone)] {
-                if (CacheLineInfo *l = l1Tags.at(core).findLine(la))
-                    l->state = CoherenceState::Modified;
-                image.writeArch(addr, value);
-                if (onDone)
-                    onDone();
-            });
+        it->second.waiters.push_back({reply, true, addr, value});
         ++storeMisses;
         return true;
     }
@@ -310,14 +289,7 @@ Hierarchy::startStore(CoreId core, Addr addr, std::uint64_t value,
     ++storeMisses;
     auto &mshr = l1.mshrs[la];
     mshr.exclusive = true;
-    mshr.waiters.push_back(
-        [this, core, la, addr, value, onDone = std::move(onDone)] {
-            if (CacheLineInfo *l = l1Tags.at(core).findLine(la))
-                l->state = CoherenceState::Modified;
-            image.writeArch(addr, value);
-            if (onDone)
-                onDone();
-        });
+    mshr.waiters.push_back({reply, true, addr, value});
     ++activeTransactions;
     startMiss(core, la, true);
     return true;
@@ -455,25 +427,13 @@ Hierarchy::serviceMiss(CoreId core, Addr lineAddr, bool exclusive)
         // 3. Fetch from memory. The L2 MSHR is claimed before the
         // packet is mailed; a controller Nack keeps the claim and
         // remails the same packet once the controller signals space.
+        // The controller reports the fill through packetDone().
         auto fetch = [this, core, lineAddr, exclusive]() -> bool {
             if (l2MissesInFlight >= params.l2Mshrs)
                 return false;
-            auto pkt = makeReadPacket(
-                lineAddr, core, exclusive,
-                [this, core, lineAddr, exclusive] {
-                    --l2MissesInFlight;
-                    // Fill L2 (inclusive), then the L1.
-                    park([this, core, lineAddr, exclusive] {
-                        if (!installLineL2(lineAddr))
-                            return false;
-                        finishFill(core, lineAddr, exclusive,
-                                   CoherenceState::Exclusive);
-                        return true;
-                    });
-                });
-            pkt->id = nextPacketId++;
             ++l2MissesInFlight;
-            sendToController(std::move(pkt));
+            sendToController(makeReadPacket(nextPacketId++, lineAddr,
+                                            core, exclusive));
             return true;
         };
         if (!fetch())
@@ -504,9 +464,13 @@ Hierarchy::finishFill(CoreId core, Addr lineAddr, bool exclusive,
     l1.mshrs.erase(it);
     busyLines.erase(lineAddr);
     --activeTransactions;
-    for (auto &waiter : waiters)
-        if (waiter)
-            waiter();
+    for (const L1::Mshr::Waiter &w : waiters) {
+        if (w.store)
+            retireStore(core, w.addr, w.value);
+        answer(w.reply,
+               w.store ? MemRequestKind::Store : MemRequestKind::Load,
+               MemResponseKind::Done);
+    }
     scheduleKick();
 }
 
@@ -644,11 +608,9 @@ Hierarchy::drainL2Evicts()
     PendingEvict &head = pendingL2Evicts.front();
     if (head.clearance && !head.clearance())
         return;
-    auto pkt = makeWritePacket(head.data, 0, WriteOrigin::WriteBack,
-                               nullptr);
-    pkt->id = nextPacketId++;
     evictInFlight = true;
-    sendToController(std::move(pkt));
+    sendToController(makeWritePacket(nextPacketId++, head.data, 0,
+                                     WriteOrigin::WriteBack));
 }
 
 // ---------------------------------------------------------------------
@@ -695,10 +657,10 @@ Hierarchy::onControllerResponse(const MemResponse &resp)
     switch (pkt->cmd) {
     case MemCmd::Read:
     case MemCmd::ReadExclusive:
-        // Completion arrives separately through pkt->onResponse; the
+        // Completion arrives separately through packetDone(); the
         // admission decision is all that is routed here. A Nack
-        // remails the identical packet when the controller's retry
-        // callback kicks us (the L2 MSHR claim is still held).
+        // remails the identical packet on the kick that queueFreed()
+        // schedules (the L2 MSHR claim is still held).
         if (!acked) {
             park([this, pkt] {
                 sendToController(pkt);
@@ -739,9 +701,32 @@ Hierarchy::onControllerResponse(const MemResponse &resp)
 }
 
 void
-Hierarchy::startFlush(CoreId core, Addr addr,
-                      std::function<void(bool)> onDone,
-                      std::function<void()> onStarted)
+Hierarchy::packetDone(const Packet &pkt)
+{
+    if (pkt.cmd != MemCmd::Write) {
+        --l2MissesInFlight;
+        // Fill L2 (inclusive), then the L1.
+        const CoreId core = pkt.requester;
+        const Addr lineAddr = pkt.addr;
+        const bool exclusive = pkt.cmd == MemCmd::ReadExclusive;
+        park([this, core, lineAddr, exclusive] {
+            if (!installLineL2(lineAddr))
+                return false;
+            finishFill(core, lineAddr, exclusive,
+                       CoherenceState::Exclusive);
+            return true;
+        });
+    } else if (pkt.origin == WriteOrigin::Clwb) {
+        // ADR admission of a CLWB write completes its flush.
+        --activeTransactions;
+        answer(pkt.reply, MemRequestKind::Flush, MemResponseKind::Done,
+               true);
+        scheduleKick();
+    }
+}
+
+void
+Hierarchy::startFlush(CoreId core, Addr addr, Reply reply)
 {
     Addr la = lineAlign(addr);
     ++activeTransactions;
@@ -762,14 +747,13 @@ Hierarchy::startFlush(CoreId core, Addr addr,
                           : params.l1Latency + params.snoopLatency +
                                 params.l2Latency;
 
-        eq.scheduleIn(lookup, [this, core, la, onDone,
-                               onStarted = std::move(onStarted)] {
+        eq.scheduleIn(lookup, [this, core, la, reply] {
             // The flush performs its cache read here; stores gated
             // behind a persist barrier may drain only after this
             // point (the notification below), so the snapshot can
             // never include post-barrier data.
-            if (onStarted)
-                onStarted();
+            answer(reply, MemRequestKind::Flush,
+                   MemResponseKind::FlushStarted);
             bool dirty = false;
             // Clean every dirty copy in the domain; CLWB retains
             // clean copies (non-invalidating). Clean and absent lines
@@ -794,25 +778,20 @@ Hierarchy::startFlush(CoreId core, Addr addr,
             if (!dirty) {
                 ++flushesClean;
                 --activeTransactions;
-                if (onDone)
-                    onDone(false);
+                answer(reply, MemRequestKind::Flush,
+                       MemResponseKind::Done);
                 scheduleKick();
                 return;
             }
 
             ++flushesDirty;
-            auto pkt = makeWritePacket(
-                image.snapshotLine(la), core, WriteOrigin::Clwb,
-                [this, onDone] {
-                    --activeTransactions;
-                    if (onDone)
-                        onDone(true);
-                    scheduleKick();
-                });
-            pkt->id = nextPacketId++;
             // Same-line writes enter the controller in snapshot
-            // order even if back-pressure forces retries.
-            sendLineWrite(la, std::move(pkt));
+            // order even if back-pressure forces retries. The write
+            // answers this flush when it is admitted (packetDone()).
+            sendLineWrite(la, makeWritePacket(nextPacketId++,
+                                              image.snapshotLine(la),
+                                              core, WriteOrigin::Clwb,
+                                              reply));
         }, EventPriority::MemoryResponse);
     }
 }

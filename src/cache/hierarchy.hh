@@ -28,6 +28,7 @@
 #include <deque>
 #include <functional>
 #include <memory>
+#include <type_traits>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
@@ -83,11 +84,11 @@ struct HierarchyParams
  * The hierarchy's volatile state: everything but the tag arrays,
  * which capture themselves (CacheArray::State). Hierarchy derives
  * from it privately, so this one struct is both the live state and
- * the value Hierarchy::saveState() captures (DESIGN.md §6). The
- * closures it holds (MSHR waiters, clearances, parked attempts)
- * reference only the hierarchy and immutable values, and packets are
- * immutable once submitted, so a copy stays valid when restored into
- * the machine it came from.
+ * the value Hierarchy::saveState() captures (DESIGN.md §6). MSHR
+ * waiters and packets are plain data (a waiter or a CLWB write names
+ * its reply port); the closures it still holds (clearances, parked
+ * attempts) reference only the hierarchy and immutable values, so a
+ * copy stays valid when restored into the machine it came from.
  */
 struct HierarchyState
 {
@@ -111,8 +112,19 @@ struct HierarchyState
         /** Outstanding misses keyed by line address. */
         struct Mshr
         {
+            /** One merged request, answered Done when the fill lands;
+             * a store first retires into the filled line. */
+            struct Waiter
+            {
+                Reply reply;
+                bool store = false;
+                Addr addr = 0;
+                std::uint64_t value = 0;
+            };
+            static_assert(std::is_trivially_copyable_v<Waiter>);
+
             bool exclusive = false;
-            std::vector<std::function<void()>> waiters;
+            std::vector<Waiter> waiters;
         };
         std::unordered_map<Addr, Mshr> mshrs;
     };
@@ -163,9 +175,13 @@ struct HierarchyState
  * hierarchy in turn owns one port per memory controller for its own
  * fills and persists, so every admission decision in the machine is
  * an explicit asynchronous response, never a same-tick return value.
+ * It is both controllers' MemClient: a finished fill or CLWB write
+ * comes back from the controller's own event and is routed by the
+ * packet's fields, the flush by the reply the packet carries.
  */
 class Hierarchy : public SimObject,
                   public MemResponder,
+                  private MemClient,
                   private HierarchyState
 {
   public:
@@ -233,8 +249,9 @@ class Hierarchy : public SimObject,
 
     /**
      * Re-evaluate parked work (blocked write-backs, stalled snoops,
-     * deferred fills). Persist engines call this when their buffers
-     * drain; controllers call it when queue space frees.
+     * deferred fills). Persist engines ring it through a Kick when
+     * their buffers drain; controllers schedule it when queue space
+     * frees.
      */
     void kick();
 
@@ -286,16 +303,27 @@ class Hierarchy : public SimObject,
     /** @name Port request servicing (one per MemRequestKind) @{ */
 
     /** @return false if no MSHR is available (the caller Nacks). */
-    bool startLoad(CoreId core, Addr addr, std::function<void()> onDone);
+    bool startLoad(CoreId core, Addr addr, Reply reply);
 
     /** @return false if no MSHR is available (the caller Nacks). */
     bool startStore(CoreId core, Addr addr, std::uint64_t value,
-                    std::function<void()> onDone);
+                    Reply reply);
 
     /** Always accepted; see handleRequest() for the response shape. */
-    void startFlush(CoreId core, Addr addr,
-                    std::function<void(bool)> onDone,
-                    std::function<void()> onStarted);
+    void startFlush(CoreId core, Addr addr, Reply reply);
+
+    /** @} */
+
+    /** A store retires into @p core's owned L1 line: the line turns
+     * Modified and the architectural image takes the value. */
+    void retireStore(CoreId core, Addr addr, std::uint64_t value);
+
+    /** @name MemClient: controller completions @{ */
+
+    /** A memory read parks its fill; a CLWB write answers its flush
+     * Done(wrotePm); a write-back owes no reply. */
+    void packetDone(const Packet &pkt) override;
+    void queueFreed() override { scheduleKick(); }
 
     /** @} */
 

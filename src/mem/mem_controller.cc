@@ -133,13 +133,12 @@ MemController::acquireSlot(std::vector<std::size_t> &free)
 void
 MemController::completeRead(std::size_t slot)
 {
-    // Free the slot before the response runs so a request issued from
-    // the callback can reuse it.
+    // Free the slot before the client runs so a request it issues
+    // can reuse it.
     PacketPtr pkt = std::move(readSlots[slot]);
     freeReadSlots.push_back(slot);
-    if (pkt->onResponse)
-        pkt->onResponse();
-    notifyRetry();
+    client->packetDone(*pkt);
+    client->queueFreed();
 }
 
 void
@@ -150,7 +149,7 @@ MemController::advanceWrite(std::size_t slot)
         write.pkt.reset();
         write.inMedia = false;
         freeWriteSlots.push_back(slot);
-        notifyRetry();
+        client->queueFreed();
         return;
     }
     // ADR admission: the write is now in the persist domain and is
@@ -161,8 +160,7 @@ MemController::advanceWrite(std::size_t slot)
         if (persistObserver)
             persistObserver(*pkt, curTick());
     }
-    if (pkt->onResponse)
-        pkt->onResponse();
+    client->packetDone(*pkt);
     // Media program happens after admission; the queue slot is held
     // until the media write retires (back-pressure).
     Tick done = serviceOnBank(pkt->addr, curTick(),
@@ -199,13 +197,6 @@ MemController::handleWrite(const PacketPtr &pkt)
     const std::size_t slot = acquireSlot(freeWriteSlots);
     writeSlots[slot].pkt = pkt;
     writeEvents[slot].schedule(curTick() + params.writeAcceptLatency);
-}
-
-void
-MemController::notifyRetry()
-{
-    for (auto &cb : retryCallbacks)
-        cb();
 }
 
 void

@@ -20,7 +20,6 @@
 #define MEM_MEM_CONTROLLER_HH
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <vector>
 
@@ -67,13 +66,32 @@ struct MemControllerParams
 MemControllerParams dramControllerParams();
 
 /**
+ * Who a controller reports to besides the port's Ack/Nack: the
+ * Hierarchy in a System, a fake in tests. Both calls run from the
+ * controller's own completion events, never as port mail.
+ */
+class MemClient
+{
+  public:
+    virtual ~MemClient() = default;
+
+    /** @p pkt finished: a read returned its data, or a write was
+     * admitted to the persist domain (after the persist observer). */
+    virtual void packetDone(const Packet &pkt) = 0;
+
+    /** A read slot freed or a media write retired: a Nacked packet
+     * may be re-mailed. */
+    virtual void queueFreed() = 0;
+};
+
+/**
  * A controller's volatile state: the banks and the pooled in-flight
  * request slots. MemController derives from it privately (DESIGN.md
  * §6). Slots are named by index; each has one completion event,
  * bound at construction, that stays outside this struct. Each pool
  * holds exactly its queue's entry limit, so a request is in flight
- * exactly while it holds a slot. Packets are immutable once
- * submitted, so a copy shares them with the live run.
+ * exactly while it holds a slot. Packets are immutable, so a copy
+ * shares them with the live run.
  */
 struct MemControllerState
 {
@@ -106,8 +124,8 @@ struct MemControllerState
  * Transactions arrive as Packet-kind port requests. Admission is
  * answered explicitly: Ack when the packet entered its queue, Nack
  * (with the retry stat bumped) when the queue was full — the sender
- * retries after the controller's retry callback fires. Completion is
- * delivered separately through the packet's own onResponse.
+ * retries once its client hears queueFreed(). Completion goes to the
+ * client as packetDone(), from the controller's own event.
  */
 class MemController : public ClockedObject,
                       public MemResponder,
@@ -125,12 +143,8 @@ class MemController : public ClockedObject,
     /** Service one mailed Packet request: Ack or Nack its admission. */
     void handleRequest(MemPort &port, const MemRequest &req) override;
 
-    /** Register a callback invoked whenever queue space frees up. */
-    void
-    addRetryCallback(std::function<void()> cb)
-    {
-        retryCallbacks.push_back(std::move(cb));
-    }
+    /** Report completions and freed queue space to @p c. */
+    void setClient(MemClient &c) { client = &c; }
 
     /** @return true once all queued work has drained. */
     bool
@@ -189,7 +203,6 @@ class MemController : public ClockedObject,
 
     void handleRead(const PacketPtr &pkt);
     void handleWrite(const PacketPtr &pkt);
-    void notifyRetry();
 
     MemoryImage &image;
     MemControllerParams params;
@@ -204,7 +217,7 @@ class MemController : public ClockedObject,
     std::vector<EventQueue::Recurring> readEvents;
     std::vector<EventQueue::Recurring> writeEvents;
 
-    std::vector<std::function<void()>> retryCallbacks;
+    MemClient *client = nullptr;
     std::function<void(const Packet &, Tick)> persistObserver;
 };
 

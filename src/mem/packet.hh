@@ -8,14 +8,17 @@
 #ifndef MEM_PACKET_HH
 #define MEM_PACKET_HH
 
-#include <functional>
+#include <cstdint>
 #include <memory>
+#include <type_traits>
 
 #include "mem/memory_image.hh"
 #include "sim/types.hh"
 
 namespace strand
 {
+
+class MemPort;
 
 /** Kind of memory transaction. */
 enum class MemCmd
@@ -41,8 +44,20 @@ enum class WriteOrigin
 };
 
 /**
- * One memory transaction. Requests travel down the hierarchy; the
- * response is delivered by invoking onResponse at completion time.
+ * Where a finished request is answered: the port it arrived on and
+ * the requester's token. Ports are owned by permanent components, so
+ * a reply may outlive the request that made it.
+ */
+struct Reply
+{
+    MemPort *port = nullptr;
+    std::uint64_t token = 0;
+};
+
+/**
+ * One memory transaction, immutable once built. Requests travel down
+ * the hierarchy; the controller reports a finished packet to its
+ * MemClient, which routes the completion by the packet's own fields.
  */
 struct Packet
 {
@@ -57,41 +72,34 @@ struct Packet
     /** Monotonic id for debugging and persist-order tracing. */
     std::uint64_t id = 0;
 
-    /** Tick at which the packet was created. */
-    Tick created = 0;
-
-    /** Completion callback, run when the transaction finishes. */
-    std::function<void()> onResponse;
+    /** CLWB writes only: the flush answered at ADR admission. */
+    Reply reply;
 };
 
-using PacketPtr = std::shared_ptr<Packet>;
+static_assert(std::is_trivially_copyable_v<Packet>,
+              "a packet is plain data: no closure may ride it");
+
+using PacketPtr = std::shared_ptr<const Packet>;
 
 /** Build a read request. */
 inline PacketPtr
-makeReadPacket(Addr addr, CoreId requester, bool exclusive,
-               std::function<void()> onResponse)
+makeReadPacket(std::uint64_t id, Addr addr, CoreId requester,
+               bool exclusive)
 {
-    auto pkt = std::make_shared<Packet>();
-    pkt->cmd = exclusive ? MemCmd::ReadExclusive : MemCmd::Read;
-    pkt->addr = lineAlign(addr);
-    pkt->requester = requester;
-    pkt->onResponse = std::move(onResponse);
-    return pkt;
+    return std::make_shared<const Packet>(
+        Packet{exclusive ? MemCmd::ReadExclusive : MemCmd::Read,
+               lineAlign(addr), requester, WriteOrigin::None, {}, id,
+               {}});
 }
 
-/** Build a write (persist) request carrying a line snapshot. */
+/** Build a write (persist) request carrying a line snapshot; a CLWB
+ * write names the flush it answers. */
 inline PacketPtr
-makeWritePacket(LineData data, CoreId requester, WriteOrigin origin,
-                std::function<void()> onResponse)
+makeWritePacket(std::uint64_t id, LineData data, CoreId requester,
+                WriteOrigin origin, Reply reply = {})
 {
-    auto pkt = std::make_shared<Packet>();
-    pkt->cmd = MemCmd::Write;
-    pkt->addr = data.lineAddr;
-    pkt->requester = requester;
-    pkt->origin = origin;
-    pkt->data = data;
-    pkt->onResponse = std::move(onResponse);
-    return pkt;
+    return std::make_shared<const Packet>(Packet{
+        MemCmd::Write, data.lineAddr, requester, origin, data, id, reply});
 }
 
 /**

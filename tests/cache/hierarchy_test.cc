@@ -39,6 +39,8 @@ class HierarchyFixture : public ::testing::Test
         bool nacked = false;
         bool started = false;
         bool done = false;
+        /** Done responses received; a request is owed exactly one. */
+        unsigned dones = 0;
         bool wrotePm = false;
         Tick doneAt = 0;
     };
@@ -69,8 +71,10 @@ class HierarchyFixture : public ::testing::Test
                 break;
               case MemResponseKind::Done:
                 o.done = true;
+                ++o.dones;
                 o.doneAt = eq.curTick();
                 o.wrotePm = resp.wrotePm;
+                doneOrder.push_back(resp.token);
                 break;
             }
         });
@@ -159,6 +163,8 @@ class HierarchyFixture : public ::testing::Test
     std::unique_ptr<Hierarchy> hier;
     MemPort port;
     std::unordered_map<std::uint64_t, Outcome> outcomes;
+    /** Tokens in the order their Done responses arrived. */
+    std::vector<std::uint64_t> doneOrder;
     std::uint64_t nextToken = 1;
 };
 
@@ -371,6 +377,46 @@ TEST_F(HierarchyFixture, MissesToSameLineMergeInOneMshr)
     EXPECT_TRUE(out(b).done);
     EXPECT_EQ(hier->loadMisses.value(), 2.0);
     // Only one memory read should have been issued.
+    EXPECT_EQ(pm->numReads.value(), 1.0);
+}
+
+TEST_F(HierarchyFixture, StoresAndLoadMergeOntoOneRfo)
+{
+    build();
+    // Mailed back to back, all three reach the hierarchy in one
+    // batch: the first store opens an RFO, and the load and the second
+    // store wait on its MSHR.
+    auto first = send(MemRequestKind::Store, 0, lineA, 1);
+    auto merged = send(MemRequestKind::Load, 0, lineA + 8);
+    auto second = send(MemRequestKind::Store, 0, lineA, 2);
+    eq.run();
+    EXPECT_TRUE(out(first).acked);
+    EXPECT_TRUE(out(second).acked);
+    // One Done each, in arrival order, under each request's own token.
+    for (auto tok : {first, merged, second})
+        EXPECT_EQ(out(tok).dones, 1u);
+    EXPECT_EQ(doneOrder, (std::vector<std::uint64_t>{first, merged, second}));
+    // Both stores retired into the filled line, the later one last.
+    EXPECT_EQ(img.readArch(lineA), 2u);
+    EXPECT_EQ(hier->l1State(0, lineA), CoherenceState::Modified);
+    EXPECT_EQ(hier->storeMisses.value(), 2.0);
+    EXPECT_EQ(hier->loadMisses.value(), 1.0);
+    EXPECT_EQ(pm->numReads.value(), 1.0);
+}
+
+TEST_F(HierarchyFixture, StoreDuringSharedFillIsNacked)
+{
+    build();
+    auto fill = send(MemRequestKind::Load, 0, lineA);
+    auto refused = send(MemRequestKind::Store, 0, lineA, 5);
+    eq.run();
+    EXPECT_TRUE(out(fill).done);
+    // A shared fill cannot grant ownership: the store is refused, not
+    // merged, and never writes.
+    EXPECT_TRUE(out(refused).nacked);
+    EXPECT_FALSE(out(refused).acked);
+    EXPECT_EQ(out(refused).dones, 0u);
+    EXPECT_EQ(img.readArch(lineA), 0u);
     EXPECT_EQ(pm->numReads.value(), 1.0);
 }
 

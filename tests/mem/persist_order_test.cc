@@ -34,6 +34,17 @@ postPacket(MemPort &port, const PacketPtr &pkt)
     port.send(std::move(req));
 }
 
+/** Counts the completions a controller reports, standing in for the
+ * hierarchy. */
+struct CountingClient : MemClient
+{
+    void packetDone(const Packet &) override { ++done; }
+    void queueFreed() override { ++freed; }
+
+    unsigned done = 0;
+    unsigned freed = 0;
+};
+
 /**
  * A core's-eye view of a hierarchy: one port plus blocking helpers
  * that retry Nacks, mirroring what Core does in production.
@@ -128,6 +139,8 @@ TEST(PersistOrder, ControllerAdmitsWritesInSendOrder)
     EventQueue eq;
     MemoryImage img;
     MemController pm("pm", eq, img, MemControllerParams{}, true);
+    CountingClient client;
+    pm.setClient(client);
     MemPort port;
     port.init(eq, "test.port");
     port.bind(pm);
@@ -142,13 +155,14 @@ TEST(PersistOrder, ControllerAdmitsWritesInSendOrder)
 
     for (std::uint64_t i = 0; i < 8; ++i) {
         img.writeArch(pmBase + i * 64, i);
-        auto pkt = makeWritePacket(img.snapshotLine(pmBase + i * 64),
-                                   0, WriteOrigin::Clwb, nullptr);
-        pkt->id = i;
-        postPacket(port, pkt);
+        postPacket(port,
+                   makeWritePacket(i, img.snapshotLine(pmBase + i * 64),
+                                   0, WriteOrigin::Clwb));
     }
     eq.run();
     EXPECT_EQ(acks, 8);
+    EXPECT_EQ(client.done, 8u);
+    EXPECT_EQ(client.freed, 8u);
     ASSERT_EQ(order.size(), 8u);
     for (std::uint64_t i = 0; i < 8; ++i)
         EXPECT_EQ(order[i], i);
@@ -169,14 +183,17 @@ TEST(PersistOrder, SameLineFlushesStayInContentOrderUnderPressure)
 
     const Addr line = pmBase + 0x1000;
     // Fill the single write-queue slot with an unrelated line,
-    // mailed straight to the controller.
+    // mailed straight to the controller. It goes as a write-back,
+    // which owes no flush a reply, so the hierarchy (the controller's
+    // client) has nothing to answer when it is admitted.
     MemPort pmPort;
     pmPort.init(eq, "test.pmPort");
     pmPort.bind(pm);
     pmPort.setResponseHandler([](const MemResponse &) {});
     img.writeArch(pmBase + 0x8000, 7);
-    postPacket(pmPort, makeWritePacket(img.snapshotLine(pmBase + 0x8000),
-                                       0, WriteOrigin::Clwb, nullptr));
+    postPacket(pmPort,
+               makeWritePacket(0, img.snapshotLine(pmBase + 0x8000), 0,
+                               WriteOrigin::WriteBack));
     eq.runUntil(eq.curTick() + portLegLatency); // let it occupy the slot
 
     // Store + flush, then store + flush again, back to back.
