@@ -1,6 +1,7 @@
 #include "cache/hierarchy.hh"
 
 #include <algorithm>
+#include <sstream>
 #include <utility>
 
 #include "fuzz/adversary.hh"
@@ -54,7 +55,7 @@ Hierarchy::Hierarchy(std::string name, EventQueue &eq, MemoryImage &image,
         cores.emplace_back(params.writebackEntries);
         l1Tags.emplace_back(params.l1Size, params.l1Ways);
     }
-    recorders.resize(numCores);
+    drains.resize(numCores);
     pmCtrl.setClient(*this);
     dramCtrl.setClient(*this);
     kickEvent.init(eq, [this] { kick(); }, EventPriority::Default);
@@ -87,13 +88,20 @@ Hierarchy::sendToController(PacketPtr pkt)
     portFor(req.addr).send(std::move(req));
 }
 
-Hierarchy::Clearance
-Hierarchy::recordDrainPoint(CoreId core)
+DrainPoint
+Hierarchy::recordDrainPoint(CoreId core) const
 {
-    if (!params.persistInterlocks)
+    const PersistDrain *drain = drains.at(core);
+    if (!params.persistInterlocks || !drain)
         return {};
-    auto &recorder = recorders.at(core);
-    return recorder ? recorder() : Clearance{};
+    return drain->recordDrainPoint();
+}
+
+bool
+Hierarchy::drainedPast(CoreId core, const DrainPoint &point) const
+{
+    const PersistDrain *drain = drains.at(core);
+    return !drain || drain->drainedPast(point);
 }
 
 void
@@ -336,9 +344,8 @@ Hierarchy::serviceMiss(CoreId core, Addr lineAddr, bool exclusive)
         // Dirty remote owner. For read-exclusive requests the reply
         // stalls until the owner's persist engine drains past the
         // point recorded now (§IV, inter-thread persist order).
-        Clearance clearance;
-        if (exclusive)
-            clearance = recordDrainPoint(i);
+        const DrainPoint point =
+            exclusive ? recordDrainPoint(i) : DrainPoint{};
 
         auto transfer = [this, core, lineAddr, exclusive, i] {
             CacheLineInfo *owner = l1Tags[i].findLine(lineAddr);
@@ -379,10 +386,10 @@ Hierarchy::serviceMiss(CoreId core, Addr lineAddr, bool exclusive)
             }, EventPriority::MemoryResponse);
         };
 
-        if (clearance && !clearance()) {
+        if (!drainedPast(i, point)) {
             ++snoopStalls;
-            park([clearance, transfer] {
-                if (!clearance())
+            park([this, i, point, transfer] {
+                if (!drainedPast(i, point))
                     return false;
                 transfer();
                 return true;
@@ -506,46 +513,44 @@ Hierarchy::pushWriteback(CoreId core, Addr lineAddr)
     L1 &l1 = cores.at(core);
     ++l1Writebacks;
     // Record the persist drain point at write-back initiation (§IV).
-    Clearance clearance = recordDrainPoint(core);
-    l1.writebacks.push(lineAddr, image.snapshotLine(lineAddr),
-                       std::move(clearance));
+    l1.writebacks.push({lineAddr, image.snapshotLine(lineAddr),
+                        recordDrainPoint(core)});
     drainWritebacks();
 }
 
 void
 Hierarchy::drainWritebacks()
 {
-    auto drainFn = [this](Addr lineAddr, const LineData &data) {
-        if (CacheLineInfo *l2line = l2.findLine(lineAddr)) {
-            l2line->state = CoherenceState::Modified;
-            l2.touch(*l2line);
-        } else {
-            // The L2 evicted the line while the write-back sat in
-            // the buffer; forward the data to memory directly.
-            pendingL2Evicts.push_back({lineAddr, data, {}});
-        }
-    };
-    for (unsigned i = 0; i < cores.size(); ++i) {
+    for (CoreId i = 0; i < cores.size(); ++i) {
         L1 &l1 = cores[i];
-        if (!params.adversary) {
-            l1.writebacks.drain(drainFn);
-            continue;
-        }
-        // Fuzzing: an eligible (clearance-met) write-back may still
-        // be held by the adversary; the retry is a kick, which
-        // re-enters this drain once the hold expires.
-        auto hold = [this, &l1, i] {
-            if (curTick() < l1.wbHeldUntil)
-                return true;
-            Tick delay = params.adversary->consider(
-                eq, FuzzSite::Writeback, i, retryKick);
-            if (delay > 0) {
-                l1.wbHeldUntil = curTick() + delay;
-                return true;
+        // In FIFO order: a head that waits blocks younger entries.
+        while (!l1.writebacks.empty() &&
+               drainedPast(i, l1.writebacks.front().point)) {
+            if (params.adversary) {
+                // Fuzzing: an eligible write-back may still be held
+                // by the adversary; the retry is a kick, which
+                // re-enters this drain once the hold expires.
+                if (curTick() < l1.wbHeldUntil)
+                    break;
+                Tick delay = params.adversary->consider(
+                    eq, FuzzSite::Writeback, i, retryKick);
+                if (delay > 0) {
+                    l1.wbHeldUntil = curTick() + delay;
+                    break;
+                }
             }
-            return false;
-        };
-        l1.writebacks.drain(drainFn, hold);
+            const WritebackBuffer::Entry &head = l1.writebacks.front();
+            if (CacheLineInfo *l2line = l2.findLine(head.lineAddr)) {
+                l2line->state = CoherenceState::Modified;
+                l2.touch(*l2line);
+            } else {
+                // The L2 evicted the line while the write-back sat in
+                // the buffer; forward the data to memory directly.
+                pendingL2Evicts.push_back(
+                    {head.lineAddr, head.data, 0, {}});
+            }
+            l1.writebacks.pop();
+        }
     }
     drainL2Evicts();
 }
@@ -570,18 +575,20 @@ Hierarchy::installLineL2(Addr lineAddr)
         // the owning core's persist drain point (same interlock as a
         // voluntary write-back, §IV).
         bool wasDirtyAnywhere = victim.dirty();
-        Clearance clearance;
-        for (unsigned i = 0; i < cores.size(); ++i) {
+        CoreId owner = 0;
+        DrainPoint point;
+        for (CoreId i = 0; i < cores.size(); ++i) {
             if (CacheLineInfo *line = l1Tags[i].findLine(victimAddr)) {
                 if (line->dirty()) {
                     wasDirtyAnywhere = true;
-                    clearance = recordDrainPoint(i);
+                    owner = i;
+                    point = recordDrainPoint(i);
                 }
                 l1Tags[i].invalidate(victimAddr);
             }
         }
         if (wasDirtyAnywhere)
-            queueL2Evict(victimAddr, std::move(clearance));
+            queueL2Evict(victimAddr, owner, point);
         victim.state = CoherenceState::Invalid;
     }
     l2.install(victim, lineAddr, CoherenceState::Shared);
@@ -589,11 +596,11 @@ Hierarchy::installLineL2(Addr lineAddr)
 }
 
 void
-Hierarchy::queueL2Evict(Addr lineAddr, Clearance clearance)
+Hierarchy::queueL2Evict(Addr lineAddr, CoreId owner, DrainPoint point)
 {
     ++l2Evictions;
-    pendingL2Evicts.push_back({lineAddr, image.snapshotLine(lineAddr),
-                               std::move(clearance)});
+    pendingL2Evicts.push_back(
+        {lineAddr, image.snapshotLine(lineAddr), owner, point});
     drainL2Evicts();
 }
 
@@ -605,8 +612,8 @@ Hierarchy::drainL2Evicts()
     // for the retry kick).
     if (evictInFlight || pendingL2Evicts.empty())
         return;
-    PendingEvict &head = pendingL2Evicts.front();
-    if (head.clearance && !head.clearance())
+    const PendingEvict &head = pendingL2Evicts.front();
+    if (!drainedPast(head.owner, head.point))
         return;
     evictInFlight = true;
     sendToController(makeWritePacket(nextPacketId++, head.data, 0,
@@ -658,15 +665,16 @@ Hierarchy::onControllerResponse(const MemResponse &resp)
     case MemCmd::Read:
     case MemCmd::ReadExclusive:
         // Completion arrives separately through packetDone(); the
-        // admission decision is all that is routed here. A Nack
-        // remails the identical packet on the kick that queueFreed()
-        // schedules (the L2 MSHR claim is still held).
-        if (!acked) {
-            park([this, pkt] {
-                sendToController(pkt);
-                return true;
-            });
-        }
+        // admission decision is all that is routed here. A Nacked
+        // read waits for queueFreed() to remail it, unless space
+        // freed while the Nack was in the mail.
+        if (acked)
+            return;
+        if (lastQueueFreed + portFor(pkt->addr).responseLatency() >=
+            curTick())
+            sendToController(pkt);
+        else
+            nackedReads.push_back(pkt);
         return;
     case MemCmd::Write:
         if (pkt->origin == WriteOrigin::WriteBack) {
@@ -698,6 +706,15 @@ Hierarchy::onControllerResponse(const MemResponse &resp)
         return;
     }
     panic("controller response with unknown packet command");
+}
+
+void
+Hierarchy::queueFreed()
+{
+    lastQueueFreed = curTick();
+    for (const PacketPtr &pkt : std::exchange(nackedReads, {}))
+        sendToController(pkt);
+    scheduleKick();
 }
 
 void
@@ -862,6 +879,36 @@ Hierarchy::writebacksPending() const
     for (const auto &l1 : cores)
         total += l1.writebacks.size();
     return total;
+}
+
+std::string
+Hierarchy::describeWaitingWork() const
+{
+    std::ostringstream os;
+    os << parked.size() << " parked transactions, " << nackedReads.size()
+       << " refused reads";
+    auto waitsFor = [&](Addr lineAddr, CoreId owner,
+                        const DrainPoint &point) {
+        os << " of line 0x" << std::hex << lineAddr << std::dec
+           << " waits for core " << owner << "'s drain point (position "
+           << point.buffered << ", seq " << point.queued << "): "
+           << (drainedPast(owner, point) ? "passed" : "not passed");
+    };
+    for (const PendingEvict &evict : pendingL2Evicts) {
+        os << "\n  L2 eviction";
+        waitsFor(evict.lineAddr, evict.owner, evict.point);
+        if (&evict == &pendingL2Evicts.front() && evictInFlight)
+            os << ", in the mail";
+    }
+    for (CoreId i = 0; i < cores.size(); ++i) {
+        const WritebackBuffer &writebacks = cores[i].writebacks;
+        if (writebacks.empty())
+            continue;
+        os << "\n  write-back head (1 of " << writebacks.size() << ")";
+        waitsFor(writebacks.front().lineAddr, i,
+                 writebacks.front().point);
+    }
+    return os.str();
 }
 
 } // namespace strand

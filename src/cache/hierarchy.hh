@@ -85,10 +85,12 @@ struct HierarchyParams
  * which capture themselves (CacheArray::State). Hierarchy derives
  * from it privately, so this one struct is both the live state and
  * the value Hierarchy::saveState() captures (DESIGN.md §6). MSHR
- * waiters and packets are plain data (a waiter or a CLWB write names
- * its reply port); the closures it still holds (clearances, parked
- * attempts) reference only the hierarchy and immutable values, so a
- * copy stays valid when restored into the machine it came from.
+ * waiters, packets, write-backs and pending evictions are plain data
+ * (a waiter or a CLWB write names its reply port, a write-back or an
+ * eviction the drain point it waits for); the one closure it still
+ * holds, a parked attempt, references only the hierarchy and
+ * immutable values, so a copy stays valid when restored into the
+ * machine it came from.
  */
 struct HierarchyState
 {
@@ -141,13 +143,16 @@ struct HierarchyState
         bool inFlight = false;
     };
 
+    /** A dirty line on its way to memory; it departs once @p owner's
+     * persist engine drains past @p point (§IV). */
     struct PendingEvict
     {
-        Addr lineAddr;
+        Addr lineAddr = 0;
         LineData data;
-        /** Persist interlock; empty means unconstrained. */
-        std::function<bool()> clearance;
+        CoreId owner = 0;
+        DrainPoint point;
     };
+    static_assert(std::is_trivially_copyable_v<PendingEvict>);
 
     std::vector<L1> cores;
     unsigned l2MissesInFlight = 0;
@@ -156,6 +161,12 @@ struct HierarchyState
     std::unordered_set<Addr> busyLines;
 
     std::unordered_map<Addr, LineSendQueue> lineSendQueues;
+
+    /** Memory reads a controller refused; each keeps its L2 MSHR
+     * claim and is remailed when queue space frees. */
+    std::vector<PacketPtr> nackedReads;
+    /** When a controller last reported freed queue space. */
+    Tick lastQueueFreed = 0;
 
     std::deque<PendingEvict> pendingL2Evicts;
     /** Head of pendingL2Evicts is in the mail, awaiting Ack/Nack. */
@@ -185,30 +196,18 @@ class Hierarchy : public SimObject,
                   private HierarchyState
 {
   public:
-    /**
-     * Re-arms when a persist engine makes progress; evaluated lazily
-     * by blocked write-backs and snoops. An empty function means no
-     * constraint.
-     */
-    using Clearance = std::function<bool()>;
-
-    /**
-     * Per-core recorder installed by the persist engine: invoked when
-     * a dirty line departs or is stolen, it captures the current
-     * strand-buffer tail indices and returns the clearance predicate.
-     */
-    using DrainPointRecorder = std::function<Clearance()>;
-
     Hierarchy(std::string name, EventQueue &eq, MemoryImage &image,
               unsigned numCores, const HierarchyParams &params,
               MemController &pmCtrl, MemController &dramCtrl,
               stats::StatGroup *parent = nullptr);
 
-    /** Install the persist-interlock recorder for @p core. */
+    /** Install @p core's persist engine, whose drain points blocked
+     * write-backs, evictions and snoops wait for (§IV). A core
+     * without one never waits. */
     void
-    setDrainPointRecorder(CoreId core, DrainPointRecorder recorder)
+    setPersistDrain(CoreId core, const PersistDrain &drain)
     {
-        recorders.at(core) = std::move(recorder);
+        drains.at(core) = &drain;
     }
 
     /** Attach the system's observer hub (VMO conflict edges). */
@@ -276,6 +275,14 @@ class Hierarchy : public SimObject,
     Snapshot saveState() const;
     void restoreState(const Snapshot &snap);
 
+    /**
+     * The work still waiting, for the report when a run stalls: each
+     * pending L2 eviction and each write-back head, with its owner
+     * core and whether its drain point has passed, and the parked and
+     * refused transactions.
+     */
+    std::string describeWaitingWork() const;
+
     /** @name Introspection for tests @{ */
     CoherenceState l1State(CoreId core, Addr addr) const;
     bool l1Dirty(CoreId core, Addr addr) const;
@@ -323,7 +330,8 @@ class Hierarchy : public SimObject,
     /** A memory read parks its fill; a CLWB write answers its flush
      * Done(wrotePm); a write-back owes no reply. */
     void packetDone(const Packet &pkt) override;
-    void queueFreed() override { scheduleKick(); }
+    /** Remail every refused read and retry the parked work. */
+    void queueFreed() override;
 
     /** @} */
 
@@ -348,8 +356,10 @@ class Hierarchy : public SimObject,
     /** Ensure the line exists in L2 (inclusive fill from memory). */
     bool installLineL2(Addr lineAddr);
 
-    /** Evict a dirty L2 line toward the right controller. */
-    void queueL2Evict(Addr lineAddr, Clearance clearance = {});
+    /** Evict a dirty L2 line toward the right controller once
+     * @p owner drains past @p point. */
+    void queueL2Evict(Addr lineAddr, CoreId owner = 0,
+                      DrainPoint point = {});
 
     /** Try to send pending L2 evictions to the controllers. */
     void drainL2Evicts();
@@ -357,8 +367,13 @@ class Hierarchy : public SimObject,
     /** Drain eligible write-backs from every L1 into the L2. */
     void drainWritebacks();
 
-    /** Record a drain point with @p core's persist engine. */
-    Clearance recordDrainPoint(CoreId core);
+    /** Record a drain point with @p core's persist engine; the zero
+     * point when the interlocks are off. */
+    DrainPoint recordDrainPoint(CoreId core) const;
+
+    /** @return true once @p core's persist engine has drained past
+     * @p point. */
+    bool drainedPast(CoreId core, const DrainPoint &point) const;
 
     /** The port toward the controller that owns @p addr. */
     MemPort &portFor(Addr addr);
@@ -389,9 +404,9 @@ class Hierarchy : public SimObject,
     MemPort pmPort;
     MemPort dramPort;
 
-    /** Per-core L1 tags and persist-interlock recorders. */
+    /** Per-core L1 tags and persist engines (null: never waits). */
     std::vector<CacheArray> l1Tags;
-    std::vector<DrainPointRecorder> recorders;
+    std::vector<const PersistDrain *> drains;
     CacheArray l2;
 
     ObserverHub *obsHub = nullptr;

@@ -1,21 +1,24 @@
 /**
  * @file
  * The L1 write-back buffer, extended per the paper (§IV, "Managing
- * cache writebacks").
+ * cache writebacks"), and the drain point its entries wait for.
  *
  * When a dirty line leaves an L1, the departing write-back records a
- * drain point in the core's persist engine (the tail indices of all
- * strand buffers). The write-back may only drain below the L1 once
- * the strand buffers have drained past the recorded indices,
- * guaranteeing that CLWBs that were in flight when the write-back was
- * initiated persist first.
+ * drain point in the core's persist engine: the position of the
+ * youngest strand-buffer entry (and, for HOPS under its interlocks,
+ * of the youngest persist-queue entry) at that moment. The
+ * write-back may only drain below the L1 once the engine has drained
+ * past that point, guaranteeing that CLWBs that were in flight when
+ * the write-back was initiated persist first. A drain point is a
+ * plain value, so an entry is plain data; the hierarchy asks the
+ * owning core's engine about the head entry's point when it drains.
  */
 
 #ifndef CACHE_WRITEBACK_BUFFER_HH
 #define CACHE_WRITEBACK_BUFFER_HH
 
 #include <deque>
-#include <functional>
+#include <type_traits>
 
 #include "mem/memory_image.hh"
 #include "sim/logging.hh"
@@ -25,17 +28,54 @@ namespace strand
 {
 
 /**
- * A bounded FIFO of in-progress write-backs for one L1 cache.
+ * The position a core's persist engine had reached when a dirty line
+ * left its L1 or a read-exclusive snoop stole it (§IV). Positions and
+ * seqs start at 1, so the zero point constrains nothing.
+ */
+struct DrainPoint
+{
+    /** The youngest strand-buffer position handed out at capture. */
+    std::uint64_t buffered = 0;
+    /** The youngest persist-queue seq the point also covers. */
+    SeqNum queued = 0;
+};
+static_assert(std::is_trivially_copyable_v<DrainPoint>);
+
+/**
+ * A core's persist engine as the write-back and snoop interlocks see
+ * it. PersistEngine implements it; the hierarchy holds one per core.
+ */
+class PersistDrain
+{
+  public:
+    /** The point everything buffered right now must drain past. */
+    virtual DrainPoint recordDrainPoint() const = 0;
+
+    /** @return true once everything buffered when @p point was
+     * recorded has left the engine. */
+    virtual bool drainedPast(const DrainPoint &point) const = 0;
+
+  protected:
+    ~PersistDrain() = default;
+};
+
+/**
+ * A bounded FIFO of in-progress write-backs for one L1 cache. Entries
+ * leave strictly in FIFO order, so a blocked write-back also blocks
+ * younger ones (conservative, deadlock-free: CLWBs never wait on
+ * write-backs).
  */
 class WritebackBuffer
 {
   public:
-    /** Predicate that reports whether the recorded drain point has
-     * been passed. An empty function means "no constraint". */
-    using Clearance = std::function<bool()>;
-
-    /** Action performed when an entry drains (move data to L2). */
-    using DrainFn = std::function<void(Addr, const LineData &)>;
+    /** A departing dirty line and the owning core's drain point. */
+    struct Entry
+    {
+        Addr lineAddr = 0;
+        LineData data;
+        DrainPoint point;
+    };
+    static_assert(std::is_trivially_copyable_v<Entry>);
 
     explicit WritebackBuffer(unsigned capacity) : capacity(capacity)
     {
@@ -44,11 +84,9 @@ class WritebackBuffer
 
     /**
      * Copies carry the buffered entries, which is how the hierarchy's
-     * snapshot captures and restores them. A clearance is a
-     * this-plus-values closure from the persist engine, so a copy
-     * stays valid when restored into the same machine. The capacity
-     * is fixed at construction: assignment panics when it differs,
-     * since the source then comes from a different machine.
+     * snapshot captures and restores them. The capacity is fixed at
+     * construction: assignment panics when it differs, since the
+     * source then comes from a different machine.
      */
     WritebackBuffer(const WritebackBuffer &) = default;
 
@@ -65,46 +103,19 @@ class WritebackBuffer
     bool empty() const { return entries.empty(); }
     std::size_t size() const { return entries.size(); }
 
-    /**
-     * Add a departing dirty line. @p clearance is evaluated lazily;
-     * the entry drains only once it returns true.
-     */
+    /** Add a departing dirty line behind every waiting one. */
     void
-    push(Addr lineAddr, LineData data, Clearance clearance)
+    push(const Entry &entry)
     {
         panicIf(full(), "write-back buffer overflow");
-        entries.push_back({lineAddr, std::move(data),
-                           std::move(clearance)});
+        entries.push_back(entry);
     }
 
-    /**
-     * Drain every leading entry whose clearance has been met. Entries
-     * drain strictly in FIFO order so a blocked write-back also
-     * blocks younger ones (conservative, deadlock-free: CLWBs never
-     * wait on write-backs).
-     *
-     * @param hold Optional extra gate, evaluated per drainable head
-     * (after its clearance passes); returning true stops the drain.
-     * The fuzzer's adversarial delays enter through here.
-     * @return the number of entries drained.
-     */
-    unsigned
-    drain(const DrainFn &drainFn,
-          const std::function<bool()> &hold = {})
-    {
-        unsigned drained = 0;
-        while (!entries.empty()) {
-            Entry &head = entries.front();
-            if (head.clearance && !head.clearance())
-                break;
-            if (hold && hold())
-                break;
-            drainFn(head.lineAddr, head.data);
-            entries.pop_front();
-            ++drained;
-        }
-        return drained;
-    }
+    /** The oldest waiting write-back; the buffer must not be empty. */
+    const Entry &front() const { return entries.front(); }
+
+    /** Drop the oldest waiting write-back. */
+    void pop() { entries.pop_front(); }
 
     /** @return true if @p lineAddr is waiting in the buffer. */
     bool
@@ -117,13 +128,6 @@ class WritebackBuffer
     }
 
   private:
-    struct Entry
-    {
-        Addr lineAddr;
-        LineData data;
-        Clearance clearance;
-    };
-
     unsigned capacity;
     std::deque<Entry> entries;
 };

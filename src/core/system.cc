@@ -155,9 +155,20 @@ System::run()
     fatalIf(!streamsLoaded, "run() without loadStreams()");
     startCores();
     eq.run();
-    panicIf(!finishedAll(),
-            "event queue drained but cores have not finished "
-            "(deadlocked ordering constraint?)");
+    if (!finishedAll()) [[unlikely]] {
+        std::string engines;
+        for (const auto &core : cores) {
+            const PersistEngine &engine = core->persistEngine();
+            if (!engine.drained())
+                engines += sformat(" {} ({} queued)", engine.fullName(),
+                                   engine.queueOccupancy());
+        }
+        panic("event queue drained but cores have not finished "
+              "(deadlocked ordering constraint?)\n  caches: {}\n  "
+              "persist engines not drained:{}",
+              caches->describeWaitingWork(),
+              engines.empty() ? " none" : engines);
+    }
     return finishTick();
 }
 

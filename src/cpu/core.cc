@@ -56,11 +56,9 @@ Core::Core(std::string name, EventQueue &eq, CoreId id, Hierarchy &hier,
     };
     this->engine->setStoreView(std::move(view));
 
-    // Write-back and snoop interlocks capture this core's persist
+    // Write-back and snoop interlocks wait for this core's persist
     // drain points (§IV).
-    hier.setDrainPointRecorder(id, [this] {
-        return this->engine->recordDrainPoint();
-    });
+    hier.setPersistDrain(id, *this->engine);
     // Anything that can unblock the core re-arms its clock.
     this->engine->setWakeCallback([this] { wake(); });
     locks.addReleaseObserver([this] { wake(); });

@@ -226,17 +226,18 @@ IntelEngine::restoreOwnState(const std::any &own)
         std::any_cast<const IntelEngineState &>(own);
 }
 
-Hierarchy::Clearance
-IntelEngine::recordDrainPoint()
+DrainPoint
+IntelEngine::recordDrainPoint() const
 {
-    if (queue.empty())
-        return {};
+    return {0, queue.empty() ? 0 : queue.back().seq};
+}
+
+bool
+IntelEngine::drainedPast(const DrainPoint &point) const
+{
     // Entries retire from the head in seq order, so the point has
-    // cleared once everything up to the captured tail has left.
-    SeqNum tail = queue.back().seq;
-    return [this, tail] {
-        return queue.empty() || queue.front().seq > tail;
-    };
+    // passed once everything up to the captured tail has left.
+    return queue.empty() || queue.front().seq > point.queued;
 }
 
 } // namespace strand

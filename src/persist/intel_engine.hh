@@ -83,7 +83,8 @@ class IntelEngine : public PersistEngine, private IntelEngineState
     void evaluate() override;
     bool drained() const override;
     std::size_t queueOccupancy() const override;
-    Hierarchy::Clearance recordDrainPoint() override;
+    DrainPoint recordDrainPoint() const override;
+    bool drainedPast(const DrainPoint &point) const override;
 
     /** @name Statistics @{ */
     stats::Scalar clwbsDispatched;

@@ -17,6 +17,11 @@
  *    ofence, durable dfence). NON-ATOMIC runs on the StrandWeaver
  *    parameters; what makes it the upper bound is its lowering,
  *    which drops the log/update pair ordering (§VI-A).
+ *
+ * Each engine is also its core's PersistDrain (declared beside the
+ * write-back buffer): a departing dirty line or a stalled
+ * read-exclusive snoop records a drain point, a plain value, and
+ * waits until the engine has drained past it (§IV).
  */
 
 #ifndef PERSIST_PERSIST_ENGINE_HH
@@ -66,7 +71,9 @@ struct PersistEngineState
 };
 
 /** Abstract persist engine. */
-class PersistEngine : public SimObject, private PersistEngineState
+class PersistEngine : public SimObject,
+                      public PersistDrain,
+                      private PersistEngineState
 {
   public:
     using SimObject::SimObject;
@@ -130,9 +137,6 @@ class PersistEngine : public SimObject, private PersistEngineState
     {
         return ~static_cast<SeqNum>(0);
     }
-
-    /** Capture a drain point for write-back / snoop interlocks. */
-    virtual Hierarchy::Clearance recordDrainPoint() = 0;
 
     /**
      * Enable recording of persist-completion ticks. The crash

@@ -53,7 +53,7 @@ StrandBufferUnit::onMemResponse(const MemResponse &resp)
     Buffer &buffer = buffers[bi];
     // Find the entry by position; earlier entries may have retired
     // meanwhile but this one cannot have (it is not yet complete).
-    for (Entry &e : buffer.entries) {
+    for (Entry &e : buffer) {
         if (e.position != position)
             continue;
         if (resp.kind == MemResponseKind::FlushStarted) {
@@ -88,7 +88,7 @@ StrandBufferUnit::onMemResponse(const MemResponse &resp)
 bool
 StrandBufferUnit::canAcceptClwb() const
 {
-    return buffers[ongoing].entries.size() < params.entriesPerBuffer;
+    return buffers[ongoing].size() < params.entriesPerBuffer;
 }
 
 void
@@ -102,8 +102,8 @@ StrandBufferUnit::pushClwb(Addr addr, std::uint64_t id,
     entry.addr = addr;
     entry.id = id;
     entry.elderStoreSeq = elderStoreSeq;
-    entry.position = buffer.nextPosition++;
-    buffer.entries.push_back(entry);
+    entry.position = nextPosition++;
+    buffer.push_back(entry);
     issueFrom(buffer);
 }
 
@@ -114,8 +114,8 @@ StrandBufferUnit::pushBarrier()
     Buffer &buffer = buffers[ongoing];
     Entry entry;
     entry.kind = Kind::Barrier;
-    entry.position = buffer.nextPosition++;
-    buffer.entries.push_back(entry);
+    entry.position = nextPosition++;
+    buffer.push_back(entry);
     // A barrier with nothing ahead of it is immediately complete;
     // retire it eagerly so it does not block issue.
     retireCompleted(buffer);
@@ -132,7 +132,7 @@ bool
 StrandBufferUnit::drained() const
 {
     for (const Buffer &buffer : buffers)
-        if (!buffer.entries.empty())
+        if (!buffer.empty())
             return false;
     return true;
 }
@@ -142,36 +142,19 @@ StrandBufferUnit::occupancy() const
 {
     std::size_t total = 0;
     for (const Buffer &buffer : buffers)
-        total += buffer.entries.size();
+        total += buffer.size();
     return total;
 }
 
-Hierarchy::Clearance
-StrandBufferUnit::recordDrainPoint()
+bool
+StrandBufferUnit::drainedPast(std::uint64_t point) const
 {
-    // Capture the tail position of every buffer. The predicate holds
-    // once each buffer has retired everything up to its captured
-    // tail, that is, once it is empty or its head lies past the tail
-    // (entries retire from the head in position order). Empty buffers
-    // contribute no constraint: positions start at 1.
-    std::vector<std::uint64_t> tails(buffers.size(), 0);
-    bool anyPending = false;
-    for (std::size_t i = 0; i < buffers.size(); ++i) {
-        if (!buffers[i].entries.empty()) {
-            tails[i] = buffers[i].entries.back().position;
-            anyPending = true;
-        }
-    }
-    if (!anyPending)
-        return {};
-    return [this, tails = std::move(tails)] {
-        for (std::size_t i = 0; i < buffers.size(); ++i) {
-            const std::deque<Entry> &entries = buffers[i].entries;
-            if (!entries.empty() && entries.front().position <= tails[i])
-                return false;
-        }
-        return true;
-    };
+    // Entries retire from the head in position order, and anything
+    // appended after the capture lies past the point.
+    for (const Buffer &buffer : buffers)
+        if (!buffer.empty() && buffer.front().position <= point)
+            return false;
+    return true;
 }
 
 void
@@ -179,7 +162,7 @@ StrandBufferUnit::issueFrom(Buffer &buffer)
 {
     // Issue every CLWB ahead of the first incomplete barrier. CLWBs
     // in the same barrier-free prefix may flush concurrently.
-    for (Entry &entry : buffer.entries) {
+    for (Entry &entry : buffer) {
         if (entry.kind == Kind::Barrier) {
             if (!entry.completed)
                 break;
@@ -223,15 +206,15 @@ StrandBufferUnit::retireCompleted(Buffer &buffer)
 {
     // Retire from the head: completed CLWBs, and barriers whose
     // predecessors have all retired.
-    while (!buffer.entries.empty()) {
-        Entry &head = buffer.entries.front();
+    while (!buffer.empty()) {
+        Entry &head = buffer.front();
         if (head.kind == Kind::Barrier) {
             head.completed = true;
             ++barriersRetired;
         } else if (!head.completed) {
             break;
         }
-        buffer.entries.pop_front();
+        buffer.pop_front();
     }
 }
 

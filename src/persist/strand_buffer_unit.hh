@@ -12,10 +12,13 @@
  * The same structure models HOPS's per-core persist buffer: a single
  * buffer whose persist barriers are ofences.
  *
- * The unit exposes recordDrainPoint(), which captures the current
- * tail index of every buffer and returns a predicate that holds once
- * all buffers have drained past the captured points — the interlock
- * used by the write-back buffer and snoop handling.
+ * The unit numbers its entries with one position counter across all
+ * buffers, so a drain point is a single number: the youngest position
+ * handed out when it was recorded. The point has passed once every
+ * buffer is empty or its head lies past it — exactly the per-buffer
+ * tail test of §IV, because an entry appended after the capture gets
+ * a higher position in whichever buffer it lands. This is the
+ * interlock used by the write-back buffer and snoop handling.
  */
 
 #ifndef PERSIST_STRAND_BUFFER_UNIT_HH
@@ -46,13 +49,13 @@ struct StrandBufferUnitParams
 };
 
 /**
- * The strand buffer unit's volatile state: the buffered entries and
- * the ongoing-buffer index. StrandBufferUnit derives from it privately
- * (DESIGN.md §6). Entries are plain descriptors (elder-store gating is
- * a SeqNum resolved against the store queue at issue time), so a copy
- * captures everything; in-flight flush requests and responses live in
- * the event queue and find their entry again by the position in their
- * token.
+ * The strand buffer unit's volatile state: the buffered entries, the
+ * ongoing-buffer index and the position counter. StrandBufferUnit
+ * derives from it privately (DESIGN.md §6). Entries are plain
+ * descriptors (elder-store gating is a SeqNum resolved against the
+ * store queue at issue time), so a copy captures everything;
+ * in-flight flush requests and responses live in the event queue and
+ * find their entry again by the position in their token.
  */
 struct StrandBufferUnitState
 {
@@ -74,22 +77,19 @@ struct StrandBufferUnitState
         /** Elder same-line store gating the flush (0 = none);
          * resolved against elderCompleted at issue time. */
         SeqNum elderStoreSeq = 0;
-        /** Monotonic position used by drain-point predicates. */
+        /** Unit-wide append order, compared against drain points. */
         std::uint64_t position = 0;
         /** Adversarial hold on this entry's issue (fuzzing). */
         Tick heldUntil = 0;
     };
 
-    struct Buffer
-    {
-        /** In position order; entries retire from the head. */
-        std::deque<Entry> entries;
-        /** Position assigned to the next appended entry. */
-        std::uint64_t nextPosition = 1;
-    };
+    /** In position order; entries retire from the head. */
+    using Buffer = std::deque<Entry>;
 
     std::vector<Buffer> buffers;
     unsigned ongoing = 0;
+    /** Position assigned to the next appended entry, in any buffer. */
+    std::uint64_t nextPosition = 1;
 };
 
 /**
@@ -174,18 +174,21 @@ class StrandBufferUnit : public SimObject, private StrandBufferUnitState
     /** Number of CLWB entries currently buffered (all strands). */
     std::size_t occupancy() const;
 
-    /**
-     * Capture the current tail of every buffer; the returned
-     * predicate holds once every buffer has retired everything that
-     * was buffered at capture time (§IV write-back/snoop interlock).
-     */
-    Hierarchy::Clearance recordDrainPoint();
+    /** The youngest position handed out so far (0 if none): the
+     * drain point of everything buffered now (§IV write-back/snoop
+     * interlock). */
+    std::uint64_t recordDrainPoint() const { return nextPosition - 1; }
+
+    /** @return true once every buffer has retired everything that
+     * was buffered when @p point was recorded. */
+    bool drainedPast(std::uint64_t point) const;
 
     /** Issue any entries whose dependencies have resolved. */
     void evaluate();
 
-    /** Capture / restore the buffered entries and the ongoing index.
-     * Restore targets the machine the capture was taken from. */
+    /** Capture / restore the buffered entries, the ongoing index and
+     * the position counter. Restore targets the machine the capture
+     * was taken from. */
     StrandBufferUnitState
     saveState() const
     {

@@ -405,35 +405,33 @@ StrandEngine::restoreOwnState(const std::any &own)
     sbu.restoreState(units);
 }
 
-Hierarchy::Clearance
-StrandEngine::recordDrainPoint()
+DrainPoint
+StrandEngine::recordDrainPoint() const
 {
-    Hierarchy::Clearance sbuClear = sbu.recordDrainPoint();
-    if ((!params.epochInterlock && !params.strictAdmission) ||
-        queue.empty())
-        return sbuClear;
     // Epoch interlock: with the delegated ofence, the departing dirty
     // line may already hold data from stores younger than CLWBs still
     // waiting in the persist queue — covering only the strand buffers
     // would let that data reach PM before its guarding log entry.
     // Also hold the write-back until every CLWB dispatched so far has
     // persisted.
-    SeqNum tail = queue.back().seq;
-    auto pqClear = [this, tail] {
-        for (const Entry &entry : queue) {
-            if (entry.seq > tail)
-                break;
-            if (entry.type == OpType::Clwb && !entry.completed)
-                return false;
-        }
-        return true;
-    };
-    if (!sbuClear)
-        return pqClear;
-    return [sbuClear = std::move(sbuClear),
-            pqClear = std::move(pqClear)] {
-        return sbuClear() && pqClear();
-    };
+    const bool coverQueue =
+        (params.epochInterlock || params.strictAdmission) &&
+        !queue.empty();
+    return {sbu.recordDrainPoint(), coverQueue ? queue.back().seq : 0};
+}
+
+bool
+StrandEngine::drainedPast(const DrainPoint &point) const
+{
+    if (!sbu.drainedPast(point.buffered))
+        return false;
+    for (const Entry &entry : queue) {
+        if (entry.seq > point.queued)
+            break;
+        if (entry.type == OpType::Clwb && !entry.completed)
+            return false;
+    }
+    return true;
 }
 
 } // namespace strand

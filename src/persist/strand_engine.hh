@@ -123,7 +123,8 @@ class StrandEngine : public PersistEngine, private StrandEngineState
     std::size_t queueOccupancy() const override;
     bool sharesStoreQueue() const override;
     SeqNum oldestIncompleteSeq() const override;
-    Hierarchy::Clearance recordDrainPoint() override;
+    DrainPoint recordDrainPoint() const override;
+    bool drainedPast(const DrainPoint &point) const override;
 
     /** @name Statistics @{ */
     stats::Scalar clwbsDispatched;

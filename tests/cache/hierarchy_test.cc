@@ -16,6 +16,9 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <set>
+#include <sstream>
+#include <string>
 #include <unordered_map>
 #include <vector>
 
@@ -28,6 +31,29 @@ namespace
 
 constexpr Addr lineA = pmBase + 0x0000;
 constexpr Addr lineB = pmBase + 0x4000;
+
+/**
+ * Stands in for a core's persist engine: the n-th recorded drain
+ * point is position n, and it passes once the test releases it.
+ */
+class FakeDrain : public PersistDrain
+{
+  public:
+    DrainPoint recordDrainPoint() const override { return {++recorded, 0}; }
+
+    bool
+    drainedPast(const DrainPoint &point) const override
+    {
+        ++evaluations;
+        return point.buffered == 0 || released.contains(point.buffered);
+    }
+
+    void release(std::uint64_t position) { released.insert(position); }
+
+    mutable std::uint64_t recorded = 0;
+    mutable unsigned evaluations = 0;
+    std::set<std::uint64_t> released;
+};
 
 class HierarchyFixture : public ::testing::Test
 {
@@ -49,8 +75,8 @@ class HierarchyFixture : public ::testing::Test
     build(unsigned cores = 2, HierarchyParams p = HierarchyParams{})
     {
         params = p;
-        pm = std::make_unique<MemController>("pm", eq, img,
-                                             MemControllerParams{}, true);
+        pm = std::make_unique<MemController>("pm", eq, img, pmParams,
+                                             true);
         dram = std::make_unique<MemController>(
             "dram", eq, img, dramControllerParams(), false);
         hier = std::make_unique<Hierarchy>("caches", eq, img, cores,
@@ -158,6 +184,8 @@ class HierarchyFixture : public ::testing::Test
     EventQueue eq;
     MemoryImage img;
     HierarchyParams params;
+    /** The PM controller's parameters; set before build(). */
+    MemControllerParams pmParams;
     std::unique_ptr<MemController> pm;
     std::unique_ptr<MemController> dram;
     std::unique_ptr<Hierarchy> hier;
@@ -258,15 +286,11 @@ TEST_F(HierarchyFixture, RfoStealsDirtyLineFromRemoteOwner)
 TEST_F(HierarchyFixture, RfoStallsOnOwnersPersistDrain)
 {
     build();
-    bool clear = false;
-    int recordings = 0;
-    hier->setDrainPointRecorder(0, [&] {
-        ++recordings;
-        return [&clear] { return clear; };
-    });
+    FakeDrain drain;
+    hier->setPersistDrain(0, drain);
 
     store(0, lineA, 1);
-    EXPECT_EQ(recordings, 0); // stores alone record nothing
+    EXPECT_EQ(drain.recorded, 0u); // stores alone record nothing
 
     auto tok = send(MemRequestKind::Store, 1, lineA, 2);
     while (!out(tok).acked && !out(tok).nacked)
@@ -276,10 +300,10 @@ TEST_F(HierarchyFixture, RfoStallsOnOwnersPersistDrain)
     // complete while the owner's persist engine has not drained.
     eq.runUntil(eq.curTick() + nsToTicks(10000));
     EXPECT_FALSE(out(tok).done);
-    EXPECT_EQ(recordings, 1);
+    EXPECT_EQ(drain.recorded, 1u);
     EXPECT_EQ(hier->snoopStalls.value(), 1.0);
 
-    clear = true;
+    drain.release(1);
     hier->kick();
     eq.run();
     EXPECT_TRUE(out(tok).done);
@@ -444,22 +468,175 @@ TEST_F(HierarchyFixture, WritebackWaitsForPersistClearance)
     HierarchyParams p;
     p.l1Size = 256;
     build(1, p);
-
-    bool clear = false;
-    hier->setDrainPointRecorder(0, [&] {
-        return [&clear] { return clear; };
-    });
+    FakeDrain drain;
+    hier->setPersistDrain(0, drain);
 
     store(0, pmBase + 0, 1);
     store(0, pmBase + 128, 2);
     store(0, pmBase + 256, 3); // evicts a dirty line into the WB buffer
     eq.run();
     EXPECT_EQ(hier->writebacksPending(), 1u);
+    EXPECT_EQ(drain.recorded, 1u);
 
-    clear = true;
+    // Each drain attempt asks the live engine again; until the point
+    // passes the write-back stays.
+    const unsigned asked = drain.evaluations;
+    hier->kick();
+    EXPECT_GT(drain.evaluations, asked);
+    EXPECT_EQ(hier->writebacksPending(), 1u);
+
+    // The point passing alone moves nothing: the engine's progress
+    // reaches the buffer when the next drain attempt asks.
+    drain.release(1);
+    EXPECT_EQ(hier->writebacksPending(), 1u);
     hier->kick();
     eq.run();
     EXPECT_EQ(hier->writebacksPending(), 0u);
+    EXPECT_TRUE(hier->l2Dirty(pmBase + 0));
+}
+
+TEST_F(HierarchyFixture, BlockedWritebackHoldsYoungerOnes)
+{
+    HierarchyParams p;
+    p.l1Size = 256; // 2 sets x 2 ways: stride 128 shares a set
+    build(1, p);
+    FakeDrain drain;
+    hier->setPersistDrain(0, drain);
+
+    for (unsigned i = 0; i < 4; ++i)
+        store(0, pmBase + i * 128, i + 1);
+    eq.run();
+    // The third and fourth stores each evicted one dirty line.
+    ASSERT_EQ(hier->writebacksPending(), 2u);
+
+    // The younger write-back's point passes first; it still waits
+    // behind the older one.
+    drain.release(2);
+    hier->kick();
+    eq.run();
+    EXPECT_EQ(hier->writebacksPending(), 2u);
+
+    drain.release(1);
+    hier->kick();
+    eq.run();
+    EXPECT_EQ(hier->writebacksPending(), 0u);
+    EXPECT_TRUE(hier->l2Dirty(pmBase + 0));
+    EXPECT_TRUE(hier->l2Dirty(pmBase + 128));
+}
+
+TEST_F(HierarchyFixture, FillWaitsForFullWritebackBuffer)
+{
+    HierarchyParams p;
+    p.l1Size = 256;
+    p.writebackEntries = 1;
+    build(1, p);
+    FakeDrain drain;
+    hier->setPersistDrain(0, drain);
+
+    store(0, pmBase + 0, 1);
+    store(0, pmBase + 128, 2);
+    store(0, pmBase + 256, 3); // its victim fills the one WB entry
+    ASSERT_EQ(hier->writebacksPending(), 1u);
+
+    // This fill's dirty victim meets the full buffer, so the store
+    // cannot retire until the head's drain point passes.
+    auto tok = send(MemRequestKind::Store, 0, pmBase + 384, 4);
+    eq.runUntil(eq.curTick() + nsToTicks(10000));
+    EXPECT_TRUE(out(tok).acked);
+    EXPECT_FALSE(out(tok).done);
+    EXPECT_EQ(hier->writebackStalls.value(), 1.0);
+
+    drain.release(1);
+    hier->kick();
+    eq.run();
+    EXPECT_TRUE(out(tok).done);
+    EXPECT_EQ(img.readArch(pmBase + 384), 4u);
+    EXPECT_EQ(hier->writebackStalls.value(), 1.0);
+    // The new victim waits in the buffer for its own point.
+    EXPECT_EQ(hier->writebacksPending(), 1u);
+}
+
+TEST_F(HierarchyFixture, NackedReadWaitsForFreedSpace)
+{
+    pmParams.readQueueEntries = 1;
+    build();
+    // Two misses to different PM lines: the controller admits one
+    // read and Nacks the other.
+    auto a = send(MemRequestKind::Load, 0, lineA);
+    auto b = send(MemRequestKind::Load, 1, lineB);
+    eq.run();
+    EXPECT_TRUE(out(a).done);
+    EXPECT_TRUE(out(b).done);
+    EXPECT_EQ(pm->numReads.value(), 2.0);
+    // The refused read is re-mailed once, when the first read frees
+    // its slot, not on every port round trip until then.
+    EXPECT_EQ(pm->numRetries.value(), 1.0);
+}
+
+TEST_F(HierarchyFixture, ReadNackedAsSpaceFreesIsRemailed)
+{
+    pmParams.readQueueEntries = 1;
+    build();
+    // Time the second miss so the controller refuses it just before
+    // the first read returns: the slot frees while the Nack is still
+    // in the mail, so no later freed report will come for it.
+    auto a = send(MemRequestKind::Load, 0, lineA);
+    eq.runUntil(eq.curTick() + pmParams.readLatency - portLegLatency / 2);
+    auto b = send(MemRequestKind::Load, 1, lineB);
+    eq.run();
+    EXPECT_TRUE(out(a).done);
+    EXPECT_TRUE(out(b).done);
+    EXPECT_EQ(pm->numReads.value(), 2.0);
+    EXPECT_EQ(pm->numRetries.value(), 1.0);
+}
+
+TEST_F(HierarchyFixture, WaitingWorkNamesUnpassedDrainPoints)
+{
+    HierarchyParams p;
+    p.l1Size = 256;  // 2 sets x 2 ways
+    p.l2Size = 1024; // 1 set x 16 ways
+    build(1, p);
+    FakeDrain drain; // no point passes until released
+    hier->setPersistDrain(0, drain);
+
+    // Three dirty lines in L1 set 0: the third store sends the first
+    // line to the write-back buffer, waiting on point 1.
+    const Addr x = pmBase + 0;
+    const Addr y = pmBase + 128;
+    store(0, x, 1);
+    store(0, y, 2);
+    store(0, pmBase + 256, 3);
+    // Clean loads through L1 set 1 fill the L2 until it victimizes
+    // the second line: its dirty L1 copy leaves as an L2 eviction
+    // waiting on point 2.
+    for (unsigned i = 0; i < 15; ++i)
+        load(0, pmBase + (2 * i + 1) * 64);
+    eq.run();
+    ASSERT_EQ(hier->writebacksPending(), 1u);
+
+    auto line = [](Addr addr) {
+        std::ostringstream os;
+        os << "of line 0x" << std::hex << addr;
+        return os.str();
+    };
+    const std::string report = hier->describeWaitingWork();
+    EXPECT_EQ(report,
+              "0 parked transactions, 0 refused reads\n"
+              "  L2 eviction " + line(y) + " waits for core 0's drain "
+              "point (position 2, seq 0): not passed\n"
+              "  write-back head (1 of 1) " + line(x) + " waits for "
+              "core 0's drain point (position 1, seq 0): not passed");
+
+    // Once the points pass, the report says so and the work drains.
+    drain.release(1);
+    drain.release(2);
+    EXPECT_EQ(hier->describeWaitingWork().find("not passed"),
+              std::string::npos);
+    hier->kick();
+    eq.run();
+    EXPECT_TRUE(hier->idle());
+    EXPECT_EQ(img.readPersisted(x), 1u);
+    EXPECT_EQ(img.readPersisted(y), 2u);
 }
 
 TEST_F(HierarchyFixture, L2CapacityEvictionPersistsDirtyData)

@@ -1,13 +1,17 @@
 /**
  * @file
- * Unit tests for the write-back buffer and its persist-drain
- * interlock (§IV "Managing cache writebacks").
+ * Unit tests for the write-back buffer (§IV "Managing cache
+ * writebacks"): a bounded FIFO of departing dirty lines, each with
+ * the drain point it waits for. The hierarchy evaluates those points
+ * against the owning core's persist engine (ClearanceEvaluatedLazily
+ * here; the stall paths in hierarchy_test.cc).
  */
 
 #include <gtest/gtest.h>
 
 #include <vector>
 
+#include "cache/hierarchy.hh"
 #include "cache/writeback_buffer.hh"
 
 namespace strand
@@ -24,104 +28,124 @@ lineAt(Addr addr, std::uint64_t word0)
     return data;
 }
 
+WritebackBuffer::Entry
+entryAt(Addr addr, std::uint64_t word0, DrainPoint point = {})
+{
+    return {addr, lineAt(addr, word0), point};
+}
+
+/** A persist engine that has drained past every position up to the
+ * one the test sets. */
+class SteppedDrain : public PersistDrain
+{
+  public:
+    DrainPoint recordDrainPoint() const override { return {}; }
+
+    bool
+    drainedPast(const DrainPoint &point) const override
+    {
+        ++evaluations;
+        return point.buffered <= drainedTo;
+    }
+
+    std::uint64_t drainedTo = 0;
+    mutable unsigned evaluations = 0;
+};
+
+/** Pop every entry; @return their line addresses, oldest first. */
+std::vector<Addr>
+popAll(WritebackBuffer &buf)
+{
+    std::vector<Addr> order;
+    for (; !buf.empty(); buf.pop())
+        order.push_back(buf.front().lineAddr);
+    return order;
+}
+
 TEST(WritebackBuffer, DrainsFifoWhenUnconstrained)
 {
     WritebackBuffer buf(4);
-    buf.push(0x100, lineAt(0x100, 1), {});
-    buf.push(0x200, lineAt(0x200, 2), {});
-    std::vector<Addr> order;
-    unsigned drained =
-        buf.drain([&](Addr a, const LineData &) { order.push_back(a); });
-    EXPECT_EQ(drained, 2u);
-    EXPECT_EQ(order, (std::vector<Addr>{0x100, 0x200}));
+    buf.push(entryAt(0x100, 1));
+    buf.push(entryAt(0x200, 2));
+    EXPECT_EQ(popAll(buf), (std::vector<Addr>{0x100, 0x200}));
     EXPECT_TRUE(buf.empty());
-}
-
-TEST(WritebackBuffer, BlockedHeadBlocksYoungerEntries)
-{
-    WritebackBuffer buf(4);
-    bool clear = false;
-    buf.push(0x100, lineAt(0x100, 1), [&] { return clear; });
-    buf.push(0x200, lineAt(0x200, 2), {});
-
-    std::vector<Addr> order;
-    auto fn = [&](Addr a, const LineData &) { order.push_back(a); };
-
-    EXPECT_EQ(buf.drain(fn), 0u);
-    EXPECT_EQ(buf.size(), 2u);
-
-    clear = true;
-    EXPECT_EQ(buf.drain(fn), 2u);
-    EXPECT_EQ(order, (std::vector<Addr>{0x100, 0x200}));
 }
 
 TEST(WritebackBuffer, ClearanceEvaluatedLazily)
 {
-    WritebackBuffer buf(2);
-    int evaluations = 0;
-    buf.push(0x100, lineAt(0x100, 1), [&] {
-        ++evaluations;
-        return evaluations >= 3;
-    });
-    auto fn = [](Addr, const LineData &) {};
-    EXPECT_EQ(buf.drain(fn), 0u);
-    EXPECT_EQ(buf.drain(fn), 0u);
-    EXPECT_EQ(buf.drain(fn), 1u);
+    // The hierarchy drains the buffer; a restore parks one entry in
+    // it whose point lies ahead of the engine.
+    EventQueue eq;
+    MemoryImage img;
+    MemController pm("pm", eq, img, MemControllerParams{}, true);
+    MemController dram("dram", eq, img, dramControllerParams(), false);
+    Hierarchy hier("caches", eq, img, 1, HierarchyParams{}, pm, dram);
+    SteppedDrain engine;
+    hier.setPersistDrain(0, engine);
+    Hierarchy::Snapshot snap = hier.saveState();
+    snap.state.cores[0].writebacks.push(entryAt(pmBase, 77, {2, 0}));
+    hier.restoreState(snap);
+
+    // The entry keeps its point, not a verdict: each drain attempt
+    // asks the engine as it is then.
+    hier.kick();
+    EXPECT_EQ(engine.evaluations, 1u);
+    EXPECT_EQ(hier.writebacksPending(), 1u);
+    engine.drainedTo = 1;
+    hier.kick();
+    EXPECT_EQ(engine.evaluations, 2u);
+    EXPECT_EQ(hier.writebacksPending(), 1u);
+
+    // Progress alone moves nothing until the next attempt asks.
+    engine.drainedTo = 2;
+    EXPECT_EQ(hier.writebacksPending(), 1u);
+    hier.kick();
+    EXPECT_EQ(hier.writebacksPending(), 0u);
+    eq.run();
+    EXPECT_EQ(img.readPersisted(pmBase), 77u);
 }
 
 TEST(WritebackBuffer, CapacityAndContains)
 {
     WritebackBuffer buf(2);
     EXPECT_FALSE(buf.full());
-    buf.push(0x100, lineAt(0x100, 1), [] { return false; });
-    buf.push(0x200, lineAt(0x200, 2), [] { return false; });
+    buf.push(entryAt(0x100, 1, {3, 0}));
+    buf.push(entryAt(0x200, 2, {4, 0}));
     EXPECT_TRUE(buf.full());
     EXPECT_TRUE(buf.contains(0x100));
     EXPECT_TRUE(buf.contains(0x200));
     EXPECT_FALSE(buf.contains(0x300));
-    EXPECT_THROW(buf.push(0x300, lineAt(0x300, 3), {}),
-                 std::logic_error);
+    EXPECT_THROW(buf.push(entryAt(0x300, 3)), std::logic_error);
 }
 
 TEST(WritebackBuffer, DrainPassesCapturedData)
 {
     WritebackBuffer buf(2);
-    buf.push(0x100, lineAt(0x100, 77), {});
-    std::uint64_t seen = 0;
-    buf.drain([&](Addr, const LineData &d) { seen = d.words[0]; });
-    EXPECT_EQ(seen, 77u);
+    buf.push(entryAt(0x100, 77, {5, 9}));
+    EXPECT_EQ(buf.front().data.words[0], 77u);
+    EXPECT_EQ(buf.front().point.buffered, 5u);
+    EXPECT_EQ(buf.front().point.queued, 9u);
 }
 
 TEST(WritebackBuffer, SnapshotEntriesRoundTrip)
 {
     // A copy is the hierarchy's snapshot of the buffer.
     WritebackBuffer buf(4);
-    bool clear = false;
-    buf.push(0x100, lineAt(0x100, 7), [&] { return clear; });
-    buf.push(0x200, lineAt(0x200, 9), {});
+    buf.push(entryAt(0x100, 7, {1, 0}));
+    buf.push(entryAt(0x200, 9));
     const WritebackBuffer capture = buf;
 
-    // Drain past the capture (clearance satisfied), then rewind.
-    clear = true;
-    auto fn = [](Addr, const LineData &) {};
-    EXPECT_EQ(buf.drain(fn), 2u);
-    EXPECT_TRUE(buf.empty());
+    // Drain past the capture, then rewind.
+    EXPECT_EQ(popAll(buf).size(), 2u);
     EXPECT_EQ(capture.size(), 2u);
     buf = capture;
 
-    EXPECT_EQ(buf.size(), 2u);
-    EXPECT_TRUE(buf.contains(0x100));
-    EXPECT_TRUE(buf.contains(0x200));
-    // The copied clearance closure still reads the live flag: entries
-    // drain in order with their data intact.
-    clear = false;
-    EXPECT_EQ(buf.drain(fn), 0u);
-    clear = true;
+    // The entries come back in order with their data and points.
+    ASSERT_EQ(buf.size(), 2u);
+    EXPECT_EQ(buf.front().point.buffered, 1u);
     std::vector<std::uint64_t> words;
-    EXPECT_EQ(buf.drain([&](Addr, const LineData &d) {
-                  words.push_back(d.words[0]);
-              }),
-              2u);
+    for (; !buf.empty(); buf.pop())
+        words.push_back(buf.front().data.words[0]);
     EXPECT_EQ(words, (std::vector<std::uint64_t>{7, 9}));
 }
 
@@ -131,9 +155,9 @@ TEST(WritebackBuffer, RestoreRejectsOverCapacity)
     // a copy from a buffer of another capacity (another machine's)
     // is rejected even when its entries would fit.
     WritebackBuffer big(4);
-    big.push(0x100, lineAt(0x100, 1), {});
-    big.push(0x200, lineAt(0x200, 2), {});
-    big.push(0x300, lineAt(0x300, 3), {});
+    big.push(entryAt(0x100, 1));
+    big.push(entryAt(0x200, 2));
+    big.push(entryAt(0x300, 3));
     WritebackBuffer small(2);
     EXPECT_THROW(small = big, std::logic_error);
     big = WritebackBuffer(4);

@@ -59,7 +59,8 @@ class ViewProbe : public PersistEngine
         return holdSlots ? 0 : ~static_cast<SeqNum>(0);
     }
 
-    Hierarchy::Clearance recordDrainPoint() override { return {}; }
+    DrainPoint recordDrainPoint() const override { return {}; }
+    bool drainedPast(const DrainPoint &) const override { return true; }
 
   protected:
     std::any saveOwnState() const override { return {}; }

@@ -260,18 +260,26 @@ TEST(PersistOrder, InterlockFlagDisablesDrainPoints)
     Hierarchy hier("caches", eq, img, 1, params, pm, dram);
     HierClient client(eq, hier);
 
-    bool recorderCalled = false;
-    hier.setDrainPointRecorder(0, [&] {
-        recorderCalled = true;
-        return Hierarchy::Clearance{};
-    });
+    /** A persist engine stand-in that notes any point recorded. */
+    struct RecordingDrain : PersistDrain
+    {
+        DrainPoint
+        recordDrainPoint() const override
+        {
+            recorded = true;
+            return {};
+        }
+        bool drainedPast(const DrainPoint &) const override { return true; }
+        mutable bool recorded = false;
+    } drain;
+    hier.setPersistDrain(0, drain);
 
     // Dirty three conflicting lines; the eviction would record a
     // drain point if interlocks were enabled.
     for (unsigned i = 0; i < 3; ++i)
         client.store(0, pmBase + i * 128, i);
     eq.run();
-    EXPECT_FALSE(recorderCalled);
+    EXPECT_FALSE(drain.recorded);
 }
 
 } // namespace

@@ -466,12 +466,12 @@ TEST_F(EngineFixture, HopsStrictAdmissionCoversDrainPoints)
     dirty(lineA, 1);
     dispatch(Op::clwb(lineA), 10);
     engine->evaluate();
-    auto clearance = engine->recordDrainPoint();
-    ASSERT_TRUE(static_cast<bool>(clearance));
-    EXPECT_FALSE(clearance());
+    const DrainPoint point = engine->recordDrainPoint();
+    EXPECT_EQ(point.queued, 10u);
+    EXPECT_FALSE(engine->drainedPast(point));
     eq.run();
     engine->evaluate();
-    EXPECT_TRUE(clearance());
+    EXPECT_TRUE(engine->drainedPast(point));
 }
 
 TEST_F(EngineFixture, HopsDfenceEnforcesDurability)
@@ -558,12 +558,15 @@ TEST_F(EngineFixture, DrainPointCoversInFlightClwbs)
     dirty(lineA, 1);
     dispatch(Op::clwb(lineA), 10);
     engine->evaluate();
-    auto clearance = engine->recordDrainPoint();
-    ASSERT_TRUE(static_cast<bool>(clearance));
-    EXPECT_FALSE(clearance());
+    // Without the HOPS interlocks the point covers the strand
+    // buffers alone.
+    const DrainPoint point = engine->recordDrainPoint();
+    EXPECT_NE(point.buffered, 0u);
+    EXPECT_EQ(point.queued, 0u);
+    EXPECT_FALSE(engine->drainedPast(point));
     eq.run();
     engine->evaluate();
-    EXPECT_TRUE(clearance());
+    EXPECT_TRUE(engine->drainedPast(point));
 }
 
 TEST_F(EngineFixture, IntelDrainPointCoversQueue)
@@ -572,12 +575,38 @@ TEST_F(EngineFixture, IntelDrainPointCoversQueue)
     dirty(lineA, 1);
     dispatch(Op::clwb(lineA), 10);
     engine->evaluate();
-    auto clearance = engine->recordDrainPoint();
-    ASSERT_TRUE(static_cast<bool>(clearance));
-    EXPECT_FALSE(clearance());
+    const DrainPoint point = engine->recordDrainPoint();
+    EXPECT_EQ(point.queued, 10u);
+    EXPECT_FALSE(engine->drainedPast(point));
     eq.run();
     engine->evaluate();
-    EXPECT_TRUE(clearance());
+    EXPECT_TRUE(engine->drainedPast(point));
+}
+
+TEST_F(EngineFixture, HopsInterlockDrainPointCoversQueuedClwbs)
+{
+    // Under the epoch interlock a drain point also covers CLWBs that
+    // have not left the persist queue for the persist buffer yet.
+    EngineConfig config;
+    config.hopsEpochInterlock = true;
+    build(HwDesign::Hops, config);
+    dirty(lineA, 1);
+    dirty(lineB, 2);
+    dispatch(Op::clwb(lineA), 10);
+    dispatch(Op::dfence(), 11);
+    dispatch(Op::clwb(lineB), 12); // held behind the dfence
+    engine->evaluate();
+    const DrainPoint point = engine->recordDrainPoint();
+    EXPECT_EQ(point.queued, 12u);
+
+    // Run until the buffered CLWB has retired: the second one has
+    // only now entered the buffer, so the point has not passed.
+    const DrainPoint bufferedOnly{point.buffered, 0};
+    while (!engine->drainedPast(bufferedOnly))
+        ASSERT_TRUE(eq.serviceOne());
+    EXPECT_FALSE(engine->drainedPast(point));
+    pump();
+    EXPECT_TRUE(engine->drainedPast(point));
 }
 
 TEST_F(EngineFixture, DesignAndModelNames)

@@ -2,7 +2,7 @@
  * @file
  * Unit tests for the strand buffer unit (§IV): intra-strand ordering
  * by persist barriers, inter-strand concurrency, round-robin strand
- * assignment, capacity, and drain-point clearances.
+ * assignment, capacity, and drain points.
  */
 
 #include <gtest/gtest.h>
@@ -230,20 +230,26 @@ TEST_F(SbuFixture, DrainPointClearsOnlyAfterRecordedWorkRetires)
     sbu->pushBarrier();
     sbu->pushClwb(lineB, 2);
 
-    auto clearance = sbu->recordDrainPoint();
-    ASSERT_TRUE(static_cast<bool>(clearance));
-    EXPECT_FALSE(clearance());
+    // Positions count every entry, barriers included.
+    const std::uint64_t point = sbu->recordDrainPoint();
+    EXPECT_EQ(point, 3u);
+    EXPECT_FALSE(sbu->drainedPast(point));
 
-    // New work pushed after the capture must not extend the wait.
     eq.run();
-    EXPECT_TRUE(clearance());
+    EXPECT_TRUE(sbu->drainedPast(point));
 }
 
 TEST_F(SbuFixture, DrainPointOnIdleUnitIsUnconstrained)
 {
     build();
-    auto clearance = sbu->recordDrainPoint();
-    EXPECT_FALSE(static_cast<bool>(clearance));
+    EXPECT_EQ(sbu->recordDrainPoint(), 0u);
+    EXPECT_TRUE(sbu->drainedPast(sbu->recordDrainPoint()));
+
+    // Once everything has drained, a fresh point passes at once too.
+    sbu->pushClwb(lineA, 1);
+    eq.run();
+    ASSERT_TRUE(sbu->drained());
+    EXPECT_TRUE(sbu->drainedPast(sbu->recordDrainPoint()));
 }
 
 TEST_F(SbuFixture, DrainPointIgnoresWorkAddedAfterCapture)
@@ -251,10 +257,10 @@ TEST_F(SbuFixture, DrainPointIgnoresWorkAddedAfterCapture)
     build();
     dirty(lineA, 1);
     sbu->pushClwb(lineA, 1);
-    auto clearance = sbu->recordDrainPoint();
+    const std::uint64_t point = sbu->recordDrainPoint();
 
-    // Append more work behind a barrier; the clearance refers only
-    // to the first CLWB.
+    // Append more work behind a barrier; the point refers only to
+    // the first CLWB.
     sbu->pushBarrier();
     dirty(lineB, 2);
     sbu->pushClwb(lineB, 2);
@@ -263,11 +269,34 @@ TEST_F(SbuFixture, DrainPointIgnoresWorkAddedAfterCapture)
     while (completions.empty())
         ASSERT_TRUE(eq.serviceOne());
     // Let retirement settle at this tick.
-    while (!completions.empty() && !clearance() && eq.serviceOne()) {
+    while (!completions.empty() && !sbu->drainedPast(point) &&
+           eq.serviceOne()) {
         if (completions.size() >= 2)
             break;
     }
-    EXPECT_TRUE(clearance());
+    EXPECT_TRUE(sbu->drainedPast(point));
+}
+
+TEST_F(SbuFixture, DrainPointIgnoresWorkInAnotherStrand)
+{
+    StrandBufferUnitParams p;
+    p.numBuffers = 2;
+    build(p);
+    // Buffer 1's CLWB waits on an elder store that never completes.
+    sbu->setElderQuery([](SeqNum) { return false; });
+    dirty(lineA, 1);
+    sbu->pushClwb(lineA, 1);
+    const std::uint64_t point = sbu->recordDrainPoint();
+
+    // Work appended after the capture, in a buffer that was empty
+    // then, stays buffered but lies past the point.
+    sbu->newStrand();
+    sbu->pushClwb(lineB, 2, 99);
+    EXPECT_FALSE(sbu->drainedPast(point));
+    eq.run();
+    EXPECT_EQ(completions, (std::vector<std::uint64_t>{1}));
+    EXPECT_FALSE(sbu->drained());
+    EXPECT_TRUE(sbu->drainedPast(point));
 }
 
 TEST_F(SbuFixture, ManyStrandsInterleaveCorrectly)
