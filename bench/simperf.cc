@@ -10,7 +10,14 @@
  *   recurring_churn the same chains on the EventQueue::Recurring
  *                   fast path (one pooled record re-armed in place),
  *                   each fire re-arming its wake only when the wake
- *                   is idle, as Core::wake does.
+ *                   is idle, as Core::wake does. Both churn sections
+ *                   arm off-cycle ticks, so they time the kernel's
+ *                   fallback heap.
+ *   event_wheel     64 chains on 500-tick cycle boundaries re-armed
+ *                   with a fig7 pass's delta mix, the traffic the
+ *                   timing wheel serves; fatals unless it services
+ *                   the fixed event count and only the arms past the
+ *                   wheel's horizon went to the heap.
  *   cache_lookup    CacheArray::findLine on a full Table I L1 (32 KiB,
  *                   2-way), probing every line round-robin; fatals
  *                   unless every probe hits.
@@ -77,6 +84,7 @@
 #include "mem/memory_image.hh"
 #include "mem/port.hh"
 #include "sim/event_queue.hh"
+#include "sim/random.hh"
 
 using namespace strand;
 
@@ -163,6 +171,85 @@ runRecurringChurn()
                 "events_per_sec=%.3g (arena %zu records)\n",
                 static_cast<unsigned long long>(s.units), s.wallMs,
                 s.unitsPerSec, eq.arenaRecords());
+    return s;
+}
+
+constexpr unsigned wheelChains = 64;
+constexpr std::uint64_t wheelFires = 4'000'000;
+
+/**
+ * The cycle-aligned traffic a machine arms: chains that fire on 500-tick
+ * core-cycle boundaries, each fire re-arming its chain once with a fig7
+ * cell's delta mix (EXPERIMENTS.md, "Dispatch from a cycle-slotted
+ * wheel"). Only the arms past the wheel's horizon may reach the heap.
+ */
+Section
+runEventWheel()
+{
+    constexpr Tick cycle = coreClockPeriod;
+    // In cycles: the wheel's slot count.
+    constexpr Tick horizon = 1024;
+    struct Chains
+    {
+        EventQueue eq;
+        Rng rng{0x3e11};
+        std::uint64_t fires = 0;
+        std::uint64_t pastHorizon = 0;
+
+        void
+        arm(unsigned c)
+        {
+            // Per mille, as a fig7 pass arms them: +1 cycle 803, +0 at
+            // a lower priority 73, +4 cycles 51, 2-63 cycles 30,
+            // 64-1023 cycles 41, past the horizon 2.
+            const std::uint64_t draw = rng.nextBounded(1000);
+            Tick cycles = 1;
+            EventPriority prio = EventPriority::CpuTick;
+            if (draw >= 998) {
+                cycles = rng.nextRange(horizon, 4 * horizon);
+                ++pastHorizon;
+            } else if (draw >= 957) {
+                cycles = rng.nextRange(64, horizon - 1);
+            } else if (draw >= 927) {
+                cycles = rng.nextRange(2, 63);
+            } else if (draw >= 876) {
+                cycles = 4;
+            } else if (draw >= 803) {
+                cycles = 0;
+                prio = EventPriority::Stat;
+            }
+            eq.scheduleIn(cycles * cycle, [this, c] { fire(c); }, prio);
+        }
+
+        void
+        fire(unsigned c)
+        {
+            if (++fires < wheelFires)
+                arm(c);
+        }
+    };
+    Chains chains;
+    EventQueue &eq = chains.eq;
+    auto t0 = std::chrono::steady_clock::now();
+    for (unsigned c = 0; c < wheelChains; ++c)
+        eq.schedule(c * cycle, [&chains, c] { chains.fire(c); },
+                    EventPriority::CpuTick);
+    eq.run();
+    Section s{"event_wheel", eq.serviced(), msSince(t0), 0};
+    s.unitsPerSec = 1e3 * static_cast<double>(s.units) / s.wallMs;
+    fatalIf(eq.serviced() != wheelFires + wheelChains - 1,
+            "event_wheel: serviced {} events, expected {}", eq.serviced(),
+            wheelFires + wheelChains - 1);
+    fatalIf(eq.heapArms() != chains.pastHorizon ||
+                eq.wheelArms() + eq.heapArms() != eq.serviced(),
+            "event_wheel: {} arms went to the heap, but only the {} past "
+            "the horizon should have",
+            eq.heapArms(), chains.pastHorizon);
+    std::printf("event_wheel:     events=%llu wall_ms=%.1f "
+                "events_per_sec=%.3g (heap arms %llu)\n",
+                static_cast<unsigned long long>(s.units), s.wallMs,
+                s.unitsPerSec,
+                static_cast<unsigned long long>(eq.heapArms()));
     return s;
 }
 
@@ -542,6 +629,7 @@ main(int argc, char **argv)
     std::vector<Section> sections;
     sections.push_back(runEventChurn());
     sections.push_back(runRecurringChurn());
+    sections.push_back(runEventWheel());
     sections.push_back(runCacheLookup());
     sections.push_back(runImageClone());
     sections.push_back(runForkSetup());

@@ -36,7 +36,7 @@ namespace strand
 /** Core configuration (Table I defaults). */
 struct CoreParams
 {
-    Tick clockPeriod = 500; ///< 2 GHz.
+    Tick clockPeriod = coreClockPeriod; ///< 2 GHz.
     unsigned dispatchWidth = 6;
     unsigned commitWidth = 8;
     unsigned robEntries = 224;

@@ -26,7 +26,7 @@ MemController::MemController(std::string name, EventQueue &eq,
                              MemoryImage &image,
                              const MemControllerParams &params,
                              bool persistent, stats::StatGroup *parent)
-    : ClockedObject(std::move(name), eq, 500, parent),
+    : ClockedObject(std::move(name), eq, coreClockPeriod, parent),
       numReads(this, "reads", "read requests serviced"),
       numWrites(this, "writes", "write requests serviced"),
       numRowHits(this, "rowHits", "row buffer hits"),

@@ -43,7 +43,7 @@ namespace strand
 class MemPort;
 
 /** One-cycle (2 GHz) default for each port leg. */
-constexpr Tick portLegLatency = 500;
+constexpr Tick portLegLatency = coreClockPeriod;
 
 /**
  * The service side of a port. Hierarchy and MemController implement

@@ -1,9 +1,38 @@
 #include "sim/event_queue.hh"
 
 #include <algorithm>
+#include <bit>
+#include <tuple>
 
 namespace strand
 {
+
+namespace
+{
+
+/**
+ * The wheel lane of a priority class, 0-3 in dispatch order. A
+ * record's priority is always an EventPriority class: schedule() and
+ * Recurring::init() set it from one, and restore() from a capture of
+ * such values.
+ */
+constexpr std::size_t
+laneOf(int priority)
+{
+    switch (static_cast<EventPriority>(priority)) {
+      case EventPriority::MemoryResponse:
+        return 0;
+      case EventPriority::Default:
+        return 1;
+      case EventPriority::CpuTick:
+        return 2;
+      case EventPriority::Stat:
+        return 3;
+    }
+    panic("event priority {} is no EventPriority class", priority);
+}
+
+} // namespace
 
 EventQueue::Record *
 EventQueue::allocRecord()
@@ -32,8 +61,82 @@ EventQueue::armRecord(Record *rec, Tick when)
     rec->when = when;
     rec->seq = nextSeq++;
     rec->state = State::Scheduled;
-    heap.push_back({when, rec->priority, rec->seq, rec});
-    std::push_heap(heap.begin(), heap.end(), Later{});
+    place(rec);
+    ++(rec->onWheel ? armedOnWheel : armedInHeap);
+}
+
+void
+EventQueue::place(Record *rec)
+{
+    static_assert(laneOf(static_cast<int>(EventPriority::Stat)) + 1 ==
+                  wheelLanes);
+    const Tick cycle = rec->when / wheelTicks;
+    rec->onWheel = rec->when % wheelTicks == 0 &&
+                   cycle - firstCycle() < wheelSlots;
+    if (!rec->onWheel) {
+        heap.push_back({rec->when, rec->priority, rec->seq, rec});
+        std::push_heap(heap.begin(), heap.end(), Later{});
+        return;
+    }
+    const std::size_t index =
+        (cycle % wheelSlots) * wheelLanes + laneOf(rec->priority);
+    Fifo &fifo = wheel[index];
+    rec->next = nullptr;
+    (fifo.tail ? fifo.tail->next : fifo.head) = rec;
+    fifo.tail = rec;
+    occupied[index / 64] |= std::uint64_t{1} << (index % 64);
+    ++wheelCount;
+}
+
+void
+EventQueue::unlink(Record *rec)
+{
+    if (!rec->onWheel) {
+        heap.erase(std::find_if(heap.begin(), heap.end(),
+                                [rec](const HeapEntry &entry) {
+                                    return entry.rec == rec;
+                                }));
+        std::make_heap(heap.begin(), heap.end(), Later{});
+        return;
+    }
+    const std::size_t index =
+        (rec->when / wheelTicks % wheelSlots) * wheelLanes +
+        laneOf(rec->priority);
+    Fifo &fifo = wheel[index];
+    Record *prev = nullptr;
+    for (Record *it = fifo.head; it != rec; it = it->next)
+        prev = it;
+    (prev ? prev->next : fifo.head) = rec->next;
+    if (fifo.tail == rec)
+        fifo.tail = prev;
+    if (!fifo.head)
+        occupied[index / 64] &= ~(std::uint64_t{1} << (index % 64));
+    --wheelCount;
+}
+
+std::size_t
+EventQueue::wheelHead() const
+{
+    // Every wheel record lies within wheelSlots cycles of the first
+    // cycle at or after now, so the first set bit from that cycle's
+    // slot on, wrapping once, is the earliest (tick, priority) FIFO.
+    const std::size_t start = firstCycle() % wheelSlots * wheelLanes;
+    std::size_t word = start / 64;
+    std::uint64_t bits = occupied[word] & (~std::uint64_t{0} << (start % 64));
+    while (!bits) {
+        word = (word + 1) % occupied.size();
+        bits = occupied[word];
+    }
+    return word * 64 + static_cast<std::size_t>(std::countr_zero(bits));
+}
+
+Tick
+EventQueue::nextLiveTick() const
+{
+    const Tick heapTick = heap.empty() ? maxTick : heap.front().when;
+    if (wheelCount == 0)
+        return heapTick;
+    return std::min(heapTick, wheel[wheelHead()].head->when);
 }
 
 void
@@ -50,18 +153,39 @@ EventQueue::schedule(Tick when, Callback cb, EventPriority prio)
 }
 
 bool
-EventQueue::serviceOne()
+EventQueue::serviceNext(Tick limit)
 {
-    if (heap.empty())
+    Record *rec = nullptr;
+    std::size_t index = 0;
+    if (wheelCount != 0) {
+        index = wheelHead();
+        rec = wheel[index].head;
+    }
+    if (!heap.empty()) {
+        const HeapEntry &top = heap.front();
+        if (!rec || std::tie(top.when, top.priority, top.seq) <
+                        std::tie(rec->when, rec->priority, rec->seq))
+            rec = top.rec;
+    }
+    if (!rec || rec->when > limit)
         return false;
-    const HeapEntry top = heap.front();
-    std::pop_heap(heap.begin(), heap.end(), Later{});
-    heap.pop_back();
-    panicIf(top.when < now, "event queue went backwards");
-    now = top.when;
+
+    if (rec->onWheel) {
+        Fifo &fifo = wheel[index];
+        fifo.head = rec->next;
+        if (!fifo.head) {
+            fifo.tail = nullptr;
+            occupied[index / 64] &= ~(std::uint64_t{1} << (index % 64));
+        }
+        --wheelCount;
+    } else {
+        std::pop_heap(heap.begin(), heap.end(), Later{});
+        heap.pop_back();
+    }
+    panicIf(rec->when < now, "event queue went backwards");
+    now = rec->when;
     ++servicedEvents;
 
-    Record *rec = top.rec;
     if (rec->recurring) {
         // Park the record so the callback can re-arm it.
         rec->state = State::Idle;
@@ -77,18 +201,24 @@ EventQueue::serviceOne()
     return true;
 }
 
+bool
+EventQueue::serviceOne()
+{
+    return serviceNext(maxTick);
+}
+
 void
 EventQueue::run()
 {
-    while (serviceOne()) {
+    while (serviceNext(maxTick)) {
     }
 }
 
 void
 EventQueue::runUntil(Tick limit)
 {
-    while (!heap.empty() && heap.front().when <= limit)
-        serviceOne();
+    while (serviceNext(limit)) {
+    }
     if (now < limit)
         now = limit;
 }
@@ -129,8 +259,17 @@ EventQueue::restore(const Snapshot &snap)
     nextSeq = snap.nextSeq;
     servicedEvents = snap.servicedEvents;
 
+    // Clear only the FIFOs the bitmap marks: a forked crash campaign
+    // restores once per point and should not pay for the whole wheel.
+    for (std::size_t word = 0; word < occupied.size(); ++word)
+        for (std::uint64_t bits = occupied[word]; bits; bits &= bits - 1)
+            wheel[word * 64 + static_cast<std::size_t>(
+                                  std::countr_zero(bits))] = Fifo{};
+    occupied.fill(0);
+    wheelCount = 0;
     heap.clear();
     freeList.clear();
+    std::vector<Record *> scheduled;
     std::size_t i = 0;
     for (Record &rec : arena) {
         if (i < snap.records.size()) {
@@ -157,28 +296,29 @@ EventQueue::restore(const Snapshot &snap)
             rec.callback = nullptr;
         }
         if (rec.state == State::Scheduled)
-            heap.push_back({rec.when, rec.priority, rec.seq, &rec});
+            scheduled.push_back(&rec);
         else if (rec.state == State::Free)
             freeList.push_back(&rec);
         ++i;
     }
-    std::make_heap(heap.begin(), heap.end(), Later{});
+    // In key order, so each wheel FIFO is in seq order again.
+    std::sort(scheduled.begin(), scheduled.end(),
+              [](const Record *a, const Record *b) {
+                  return std::tie(a->when, a->priority, a->seq) <
+                         std::tie(b->when, b->priority, b->seq);
+              });
+    for (Record *rec : scheduled)
+        place(rec);
 }
 
 EventQueue::Recurring::~Recurring()
 {
     if (!owner)
         return;
-    if (scheduled()) {
-        // Torn down while armed (a machine destroyed mid-run): drop
-        // the pending firing so every heap entry stays live.
-        std::vector<HeapEntry> &heap = owner->heap;
-        heap.erase(std::find_if(heap.begin(), heap.end(),
-                                [this](const HeapEntry &entry) {
-                                    return entry.rec == rec;
-                                }));
-        std::make_heap(heap.begin(), heap.end(), Later{});
-    }
+    // Torn down while armed (a machine destroyed mid-run): drop the
+    // pending firing so every queued record stays live.
+    if (scheduled())
+        owner->unlink(rec);
     owner->releaseRecord(rec);
 }
 

@@ -6,15 +6,33 @@
  * order) order, so simulations are fully deterministic for a given
  * seed and schedule. The kernel has no cancellation: a scheduled event
  * fires unless it is an armed Recurring destroyed first, which takes
- * its heap entry with it, so every heap entry is live.
+ * its pending firing with it, so every queued record is live.
+ *
+ * Dispatch structure: nearly every event a timing or crash run arms
+ * lands on a core-cycle boundary (coreClockPeriod ticks), most of them
+ * one cycle out. Such a record goes on a timing wheel of wheelSlots
+ * one-cycle slots, each holding one intrusive FIFO per EventPriority
+ * class, with a bitmap of the FIFOs that are not empty. Every other
+ * record (an off-cycle tick, such as a fuzz trial's traffic after an
+ * adversary hold, or a cycle at or past the wheel's horizon) goes to
+ * a binary heap of (tick, priority, seq) keys, and dispatch pops the
+ * smaller of the wheel's head and the heap's top. The wheel keeps the
+ * heap's order exactly, for four reasons:
+ *   1. seq grows with every arm, so each FIFO is in seq order;
+ *   2. now never passes a pending event, so every wheel record lies
+ *      within wheelSlots cycles of the first cycle at or after now,
+ *      and a slot never holds two ticks (the scan starts at that
+ *      cycle, so an off-cycle now is handled);
+ *   3. restore() re-inserts the scheduled records sorted by key;
+ *   4. an armed Recurring destroyed mid-run is unlinked from its FIFO
+ *      or erased from the heap.
  *
  * Performance model: event records live in a free-list arena owned by
- * the queue, so the steady state of a simulation — cores rescheduling
- * their tick every cycle, memory controllers completing requests —
- * allocates nothing per event. The dispatch heap stores (tick,
- * priority, seq) keys by value; seq is unique, so the comparator is a
- * strict total order and any rebuild of the heap pops in the same
- * sequence.
+ * the queue, so once the pool has warmed up an arm allocates no
+ * record, and a Recurring's callback is constructed once and never
+ * copied. A one-shot schedule() still moves its callback into the
+ * record's std::function, which allocates for a closure larger than
+ * the function's local buffer (16 bytes in libstdc++).
  *
  * Components with a permanent periodic callback should use Recurring:
  * one record, allocated at init() and reused for every firing, with
@@ -24,6 +42,7 @@
 #ifndef SIM_EVENT_QUEUE_HH
 #define SIM_EVENT_QUEUE_HH
 
+#include <array>
 #include <cstdint>
 #include <deque>
 #include <functional>
@@ -135,10 +154,10 @@ class EventQueue
     }
 
     /** @return true if no events remain. */
-    bool empty() const { return heap.empty(); }
+    bool empty() const { return wheelCount == 0 && heap.empty(); }
 
     /** @return the number of scheduled, not-yet-fired events. */
-    std::uint64_t pending() const { return heap.size(); }
+    std::uint64_t pending() const { return wheelCount + heap.size(); }
 
     /** @return total events serviced since construction. */
     std::uint64_t serviced() const { return servicedEvents; }
@@ -147,11 +166,7 @@ class EventQueue
      * The tick of the earliest pending event, or maxTick when none
      * is. Lets a caller step the queue one tick at a time.
      */
-    Tick
-    nextLiveTick() const
-    {
-        return heap.empty() ? maxTick : heap.front().when;
-    }
+    Tick nextLiveTick() const;
 
     /**
      * Service the single next event.
@@ -206,12 +221,12 @@ class EventQueue
     Snapshot snapshot() const;
 
     /**
-     * Rewind the queue to @p snap. The dispatch heap and the free
-     * list are rebuilt from the restored records, and records
-     * allocated after the capture join the free list. Dispatch is
-     * keyed on (when, priority, seq), never on which pooled record a
-     * later schedule() reuses, so the pop sequence is exactly the
-     * captured one.
+     * Rewind the queue to @p snap. The wheel, the heap and the free
+     * list are rebuilt from the restored records, the scheduled ones
+     * placed in key order, and records allocated after the capture
+     * join the free list. Dispatch is keyed on (when, priority, seq),
+     * never on which pooled record a later schedule() reuses, so the
+     * pop sequence is exactly the captured one.
      */
     void restore(const Snapshot &snap);
 
@@ -225,6 +240,14 @@ class EventQueue
     /** Records currently on the free list. */
     std::size_t freeRecords() const { return freeList.size(); }
 
+    /**
+     * Arms that went on the wheel, and to the heap, since
+     * construction. restore() re-places records without counting
+     * them.
+     */
+    std::uint64_t wheelArms() const { return armedOnWheel; }
+    std::uint64_t heapArms() const { return armedInHeap; }
+
     /** @} */
 
   private:
@@ -232,7 +255,7 @@ class EventQueue
     {
         /** On the free list. */
         Free,
-        /** In the heap; will fire. */
+        /** On the wheel or in the heap; will fire. */
         Scheduled,
         /** Allocated (recurring) but not currently armed. */
         Idle,
@@ -241,11 +264,15 @@ class EventQueue
     struct Record
     {
         Tick when = 0;
-        int priority = 0;
         std::uint64_t seq = 0;
+        /** The next record in the same wheel FIFO. */
+        Record *next = nullptr;
+        int priority = 0;
         State state = State::Free;
         /** Owned by a Recurring; survives firing, callback kept. */
         bool recurring = false;
+        /** Scheduled on the wheel, not in the heap. */
+        bool onWheel = false;
         Callback callback;
     };
 
@@ -272,11 +299,50 @@ class EventQueue
         }
     };
 
+    /** One wheel FIFO: the records of one slot and priority class. */
+    struct Fifo
+    {
+        Record *head = nullptr;
+        Record *tail = nullptr;
+    };
+
+    /**
+     * A wheel slot's span: one core cycle. A core built with another
+     * CoreParams::clockPeriod arms off-cycle, so in the heap.
+     */
+    static constexpr Tick wheelTicks = coreClockPeriod;
+    /** Slots on the wheel; the horizon is this many cycles. */
+    static constexpr std::size_t wheelSlots = 1024;
+    /** FIFOs per slot, one per EventPriority class. */
+    static constexpr std::size_t wheelLanes = 4;
+    static constexpr std::size_t wheelFifos = wheelSlots * wheelLanes;
+
+    /** The first cycle that starts at or after now. */
+    Tick
+    firstCycle() const
+    {
+        return now / wheelTicks + (now % wheelTicks != 0);
+    }
+
     Record *allocRecord();
     void releaseRecord(Record *rec);
-    /** Push @p rec's current key; common tail of every arm path. */
+    /** Stamp @p rec's key and queue it; common tail of every arm. */
     void armRecord(Record *rec, Tick when);
+    /** Queue a scheduled @p rec on the wheel or in the heap. */
+    void place(Record *rec);
+    /** Take a scheduled @p rec out of the wheel or the heap. */
+    void unlink(Record *rec);
+    /** The index of the earliest non-empty FIFO; wheelCount > 0. */
+    std::size_t wheelHead() const;
+    /** Service the next event if its tick is at most @p limit. */
+    bool serviceNext(Tick limit);
 
+    /** wheelFifos FIFOs, slot-major: slot * wheelLanes + lane. */
+    std::vector<Fifo> wheel = std::vector<Fifo>(wheelFifos);
+    /** Bit i set: wheel[i] is not empty. */
+    std::array<std::uint64_t, wheelFifos / 64> occupied{};
+    /** Records on the wheel. */
+    std::uint64_t wheelCount = 0;
     std::vector<HeapEntry> heap;
     /** Arena: deque for pointer stability; records are never freed. */
     std::deque<Record> arena;
@@ -285,6 +351,8 @@ class EventQueue
     Tick now = 0;
     std::uint64_t nextSeq = 0;
     std::uint64_t servicedEvents = 0;
+    std::uint64_t armedOnWheel = 0;
+    std::uint64_t armedInHeap = 0;
 };
 
 } // namespace strand

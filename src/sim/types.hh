@@ -5,7 +5,7 @@
  * Following the gem5 convention, a Tick is one picosecond of simulated
  * time. Clocked components convert between ticks and their own cycles
  * via a clock period. The evaluated system runs at 2 GHz, so one cycle
- * is 500 ticks.
+ * is coreClockPeriod (500) ticks.
  */
 
 #ifndef SIM_TYPES_HH
@@ -34,6 +34,13 @@ constexpr Tick maxTick = std::numeric_limits<Tick>::max();
 
 /** Ticks per nanosecond. */
 constexpr Tick ticksPerNs = 1000;
+
+/**
+ * Ticks per clock cycle of the evaluated 2 GHz system: the cores'
+ * default period, the memory controllers' clock, a port leg's default
+ * latency and the event queue's wheel slot.
+ */
+constexpr Tick coreClockPeriod = 500;
 
 /**
  * A count of clock cycles. Thin wrapper so that cycle and tick
